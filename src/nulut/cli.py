@@ -128,13 +128,14 @@ def _cmd_fit(args) -> int:
 
 def _cmd_apply(args) -> int:
     lattice, predictor = lutio.load_checkpoint(args.lut)
-    img, maxval = ppm.read_ppm(args.input)
+    samples, maxval = ppm.read_ppm(args.input, raw=True)
     if predictor is not None:
-        features = extract_features(img)
+        features = extract_features(samples.astype(np.float64) / maxval)
         coords = coordinates_from_logits(predict_logits(features, predictor))
         lattice = Lattice(coords, predict_values(features, predictor))
-    out = transform_image(img, lattice)
-    ppm.write_image(np.clip(out, 0.0, 1.0), args.output, maxval=maxval)
+    # write_image rounds and clips to [0, maxval], so no clip to [0, 1] here
+    out = transform_image(samples, lattice, maxval=maxval)
+    ppm.write_image(out, args.output, maxval=maxval)
     print(f"apply: wrote {args.output}")
     return 0
 

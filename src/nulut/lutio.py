@@ -101,6 +101,15 @@ class _Tokens:
             raise LutFormatError(f"expected integer {what}, found '{tok}'") from None
 
     def take_floats(self, count, what):
+        chunk = self.tokens[self.pos : self.pos + count]
+        if len(chunk) == count:
+            try:
+                out = np.array(chunk, dtype=np.float64)
+            except ValueError:
+                pass  # the token loop below names the bad token
+            else:
+                self.pos += count
+                return out
         out = np.empty(count)
         for i in range(count):
             tok = self.next(f"{what} value {i}")

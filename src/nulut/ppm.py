@@ -1,8 +1,9 @@
 """Binary PPM (P6) reading and writing at 8 and 16 bits per sample.
 
-Samples map to [0, 1] as value / maxval on read; writing rounds half up
-and clips.  16-bit samples are big endian as the format requires.  Parse
-failures report the byte offset where the reader gave up.
+Samples map to [0, 1] as value / maxval on read, or stay integers on
+request; writing rounds half up and clips.  16-bit samples are big
+endian as the format requires.  Parse failures report the byte offset
+where the reader gave up.
 """
 
 from __future__ import annotations
@@ -41,8 +42,13 @@ def _read_int(data, pos, what):
     return int(data[start:pos]), pos
 
 
-def read_ppm(path) -> tuple[np.ndarray, int]:
-    """Read a P6 file, returning the (3, h, w) image in [0, 1] and its maxval."""
+def read_ppm(path, raw: bool = False) -> tuple[np.ndarray, int]:
+    """Read a P6 file, returning the (3, h, w) image and its maxval.
+
+    The image holds floats sample / maxval in [0, 1], or with raw=True
+    the samples themselves as native-endian uint8 (maxval 255) or uint16
+    (maxval 65535), ready for transform_image(..., maxval=maxval).
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:2] != b"P6":
@@ -67,8 +73,9 @@ def read_ppm(path) -> tuple[np.ndarray, int]:
             pos + len(payload),
         )
     raster = np.frombuffer(payload, dtype=dtype).reshape(height, width, 3)
-    img = raster.astype(np.float64).transpose(2, 0, 1) / maxval
-    return img, maxval
+    if raw:
+        return raster.astype(dtype.newbyteorder("=")).transpose(2, 0, 1), maxval
+    return raster.astype(np.float64).transpose(2, 0, 1) / maxval, maxval
 
 
 def read_image(path) -> np.ndarray:

@@ -55,6 +55,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning rate must be positive")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.freeze_interval_epochs > self.epochs:
             raise ValueError("freeze_interval_epochs must not exceed epochs")
 

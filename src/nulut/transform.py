@@ -1,18 +1,29 @@
 """Applying a non-uniform 3D LUT to images, forward and backward.
 
-The forward path locates each input color in the lattice with a binary
-search per axis (valid because the sampling coordinates are sorted) and
-blends the 8 surrounding vertex values with trilinear weights.  The
-backward path returns analytic gradients of the output with respect to
-the table values, the sampling coordinates, and the input colors, so the
-whole lattice, knot positions included, can be fitted by gradient
-descent.
+The forward path first locates each input color's lattice cell, then
+blends the 8 surrounding vertex values with trilinear weights.  A cell
+is located in one of two ways:
+
+* float input in [0, 1] uses a binary search per axis (valid because
+  the sampling coordinates are sorted);
+* quantized input, integer samples k in [0, maxval] standing for
+  k / maxval, indexes per-axis tables built once per call for the
+  maxval + 1 levels.  The tables hold each level's flat-index offset
+  and weight pair, computed by the float path's own expressions, so the
+  two ways give bit-identical results.
+
+Both feed one blend core.  The backward path returns analytic gradients
+of the output with respect to the table values, the sampling
+coordinates, and the input colors, so the whole lattice, knot positions
+included, can be fitted by gradient descent.
 
 Per-pixel work is independent, so images are processed in fixed blocks
-of CHUNK_ROWS rows.  The block grid depends only on the image size;
-worker threads share the read-only lattice, write disjoint output
-slices, and keep private gradient buffers that are reduced in block
-order.  Results are therefore bit-identical for any thread count.
+of CHUNK_ROWS rows; the forward-only transform also caps a block at
+about CHUNK_PIXELS pixels so its temporaries stay cache-sized on wide
+images.  The block grid depends only on the image size; worker threads
+share the read-only lattice, write disjoint output slices, and keep
+private gradient buffers that are reduced in block order.  Results are
+therefore bit-identical for any thread count.
 """
 
 from __future__ import annotations
@@ -26,6 +37,7 @@ import numpy as np
 from .lattice import Lattice
 
 CHUNK_ROWS = 64
+CHUNK_PIXELS = 32768
 
 _CORNERS = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
 
@@ -141,63 +153,134 @@ def _locate(coords, pix):
     """Vectorized cell location for pixel columns pix of shape (3, p)."""
     n = coords.shape[1]
     e0 = np.empty(pix.shape, dtype=np.intp)
-    x0 = np.empty_like(pix)
-    x1 = np.empty_like(pix)
     for c in range(3):
-        e = np.searchsorted(coords[c], pix[c], side="right") - 1
-        np.clip(e, 0, n - 2, out=e)
-        e0[c] = e
-        x0[c] = coords[c][e]
-        x1[c] = coords[c][e + 1]
+        e0[c] = coords[c].searchsorted(pix[c], side="right")
+    e0 -= 1
+    np.minimum(e0, n - 2, out=e0)
+    np.maximum(e0, 0, out=e0)
+    lo = e0 + np.array([[0], [n], [2 * n]])
+    x0 = coords.take(lo)
+    x1 = coords.take(lo + 1)
     xd = (pix - x0) / (x1 - x0)
     return e0, x0, x1, xd
 
 
-def _corner_indices(e0, n, i, j, k):
-    return ((e0[0] + i) * n + (e0[1] + j)) * n + (e0[2] + k)
+def _base_index(e0, n):
+    """Flat table index of each pixel's low corner (e_r, e_g, e_b)."""
+    return (e0[0] * n + e0[1]) * n + e0[2]
 
 
-def _transform_block(pix, coords, values):
-    """Transform flattened pixel columns (3, p) against raw lattice arrays.
+def _weight_pairs(xd):
+    """Per-axis trilinear weight pairs (1 - xd, xd), shape (3, 2, ...)."""
+    return np.stack((1.0 - xd, xd), axis=1)
 
-    Mirrors transform_pixel operation for operation so vectorized and
-    scalar paths agree bit-exactly.
+
+def _blend(flat, n, base, wr, wg, wb):
+    """Trilinear blend of the 8 corners above the low corners base.
+
+    flat is the (3, n^3) table and wr, wg, wb the per-axis weight pairs.
+    Corners are summed from zero in (i, j, k) order with weights
+    (wr[i] * wg[j]) * wb[k], operation for operation as transform_pixel
+    does, so every path through here agrees bit-exactly.
     """
-    n = coords.shape[1]
-    e0, _, _, xd = _locate(coords, pix)
-    flat = values.reshape(3, n * n * n)
-    wr = (1.0 - xd[0], xd[0])
-    wg = (1.0 - xd[1], xd[1])
-    wb = (1.0 - xd[2], xd[2])
-    out = np.zeros_like(pix)
-    for i, j, k in _CORNERS:
-        w = (wr[i] * wg[j]) * wb[k]
-        idx = _corner_indices(e0, n, i, j, k)
-        for c in range(3):
-            out[c] += w * flat[c, idx]
+    out = np.zeros((3, base.shape[0]))
+    for i in (0, 1):
+        for j in (0, 1):
+            wrg = wr[i] * wg[j]
+            for k in (0, 1):
+                corner = flat.take(base + ((i * n + j) * n + k), axis=1)
+                corner *= wrg * wb[k]
+                out += corner
     return out
 
 
-def _row_blocks(height):
-    return [(r, min(r + CHUNK_ROWS, height)) for r in range(0, height, CHUNK_ROWS)]
+def _transform_block(pix, coords, values):
+    """Transform flattened pixel columns (3, p) against raw lattice arrays."""
+    n = coords.shape[1]
+    e0, _, _, xd = _locate(coords, pix)
+    return _blend(values.reshape(3, n * n * n), n, _base_index(e0, n), *_weight_pairs(xd))
 
 
-def transform_image(img, lattice: Lattice, workers: int = 1) -> np.ndarray:
+def _level_tables(coords, maxval):
+    """Per-axis cell tables for the maxval + 1 levels k / maxval.
+
+    Returns offsets (3, maxval + 1), level k's low-corner contribution
+    e0 * n^(2 - c) to the flat index, and weights (3, 2, maxval + 1), its
+    pair (1 - xd, xd).  Both come from _locate on the same floats the
+    float path sees, k / maxval.
+    """
+    n = coords.shape[1]
+    levels = np.arange(maxval + 1, dtype=np.float64) / maxval
+    e0, _, _, xd = _locate(coords, np.tile(levels, (3, 1)))
+    return e0 * np.array([[n * n], [n], [1]]), _weight_pairs(xd)
+
+
+def _level_block(samples, offsets, weights, flat, n):
+    """Transform quantized pixel columns (3, p) through the level tables."""
+    base = offsets[0].take(samples[0])
+    base += offsets[1].take(samples[1])
+    base += offsets[2].take(samples[2])
+    wr, wg, wb = (weights[c].take(samples[c], axis=1) for c in range(3))
+    return _blend(flat, n, base, wr, wg, wb)
+
+
+def _validate_samples(samples, maxval) -> np.ndarray:
+    if isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer)):
+        raise ValueError(f"maxval must be an integer, got {maxval!r}")
+    if not 1 <= maxval <= 65535:
+        raise ValueError(f"maxval must lie in [1, 65535], got {maxval}")
+    a = np.asarray(samples)
+    if a.dtype.kind not in "ui":
+        raise ValueError(f"quantized samples must be integers, got dtype {a.dtype}")
+    if a.ndim != 3 or a.shape[0] != 3 or a.shape[1] < 1 or a.shape[2] < 1:
+        raise ValueError(f"image must have shape (3, h, w), got {a.shape}")
+    info = np.iinfo(a.dtype)
+    if (info.min < 0 and a.min() < 0) or (info.max > maxval and a.max() > maxval):
+        raise ValueError(f"quantized samples must lie in [0, {maxval}]")
+    return a
+
+
+def _row_blocks(height, rows=CHUNK_ROWS):
+    return [(r, min(r + rows, height)) for r in range(0, height, rows)]
+
+
+def transform_image(
+    img, lattice: Lattice, workers: int = 1, *, maxval: int | None = None
+) -> np.ndarray:
     """Apply the lattice to every pixel of a (3, h, w) image.
+
+    With maxval=None, img holds floats in [0, 1].  With an integer
+    maxval, img holds integer samples in [0, maxval] (as read by
+    read_ppm(path, raw=True)) standing for sample / maxval, and cells are
+    located through per-level tables; the output is bit-identical to
+    transforming img / maxval.
 
     The output is not clamped; clamping to [0, 1] belongs at the final
     image-writing boundary, never inside a training loop where it would
     zero gradients.
     """
-    a = _validate_image(img)
-    h, w = a.shape[1], a.shape[2]
     coords, values = lattice.coords, lattice.values
-    out = np.empty_like(a)
-    blocks = _row_blocks(h)
+    if maxval is None:
+        a = _validate_image(img)
+
+        def block_transform(pix):
+            return _transform_block(pix, coords, values)
+    else:
+        a = _validate_samples(img, maxval)
+        n = lattice.n_s
+        flat = values.reshape(3, n * n * n)
+        offsets, weights = _level_tables(coords, maxval)
+
+        def block_transform(pix):
+            return _level_block(pix, offsets, weights, flat, n)
+
+    h, w = a.shape[1], a.shape[2]
+    out = np.empty_like(a, dtype=np.float64)
+    blocks = _row_blocks(h, max(1, min(CHUNK_ROWS, CHUNK_PIXELS // w)))
 
     def run(block):
         r0, r1 = block
-        res = _transform_block(a[:, r0:r1, :].reshape(3, -1), coords, values)
+        res = block_transform(a[:, r0:r1, :].reshape(3, -1))
         out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
 
     if workers > 1 and len(blocks) > 1:
@@ -234,20 +317,17 @@ def _backward_block(pix, gout, coords, values):
     e0, x0, x1, xd = _locate(coords, pix)
     gap = x1 - x0
     flat = values.reshape(3, n3)
-    wr = (1.0 - xd[0], xd[0])
-    wg = (1.0 - xd[1], xd[1])
-    wb = (1.0 - xd[2], xd[2])
+    base = _base_index(e0, n)
+    wr, wg, wb = _weight_pairs(xd)
 
     gathered = {}
     grad_values = np.zeros((3, n3))
     for i, j, k in _CORNERS:
         w = (wr[i] * wg[j]) * wb[k]
-        idx = _corner_indices(e0, n, i, j, k)
-        corner = np.empty_like(pix)
+        idx = base + (i * n + j) * n + k
+        gathered[(i, j, k)] = flat.take(idx, axis=1)
         for c in range(3):
-            corner[c] = flat[c, idx]
             grad_values[c] += np.bincount(idx, weights=w * gout[c], minlength=n3)
-        gathered[(i, j, k)] = corner
 
     # chain through the normalized offsets: the weight derivative along one
     # axis pairs the other two axes' weights with the on-axis vertex delta

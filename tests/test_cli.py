@@ -1,10 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from conftest import random_lattice
+
+from nulut import ppm
 from nulut.cli import cli_main
-from nulut.lattice import Lattice, identity_lut, uniform_coordinates
-from nulut.lutio import load_lattice, save_lattice
+from nulut.lattice import Lattice, coordinates_from_logits, identity_lut, uniform_coordinates
+from nulut.lutio import load_checkpoint, load_lattice, save_lattice
 from nulut.ppm import read_image, write_image
+from nulut.predictor import extract_features, init_params, predict_logits, predict_values
+from nulut.transform import transform_image
 from nulut.analysis import psnr
 
 
@@ -116,6 +123,90 @@ class TestFit:
             outs.append(load_lattice(path))
         assert np.array_equal(outs[0].coords, outs[1].coords)
         assert np.array_equal(outs[0].values, outs[1].values)
+
+
+class TestQuantizedApply:
+    """`apply` runs on raw samples; its bytes must match the float route."""
+
+    @staticmethod
+    def float_route(lut_path, input_path, output_path):
+        lattice, predictor = load_checkpoint(lut_path)
+        img, maxval = ppm.read_ppm(input_path)
+        if predictor is not None:
+            features = extract_features(img)
+            lattice = Lattice(
+                coordinates_from_logits(predict_logits(features, predictor)),
+                predict_values(features, predictor),
+            )
+        out = transform_image(img, lattice)
+        write_image(np.clip(out, 0.0, 1.0), output_path, maxval=maxval)
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("with_predictor", [False, True])
+    def test_bytes_match_float_route(self, rng, tmp_path, capsys, maxval, with_predictor):
+        input_path = tmp_path / "in.ppm"
+        write_image(rng.random((3, 70, 11)), input_path, maxval=maxval)
+        lattice = random_lattice(rng, 5, logit_scale=2.0)
+        predictor = None
+        if with_predictor:
+            params = init_params(n_s=5, m=2, seed=4, basis_noise_std=0.2)
+            predictor = dataclasses.replace(
+                params, g_weights=rng.normal(size=params.g_weights.shape)
+            )
+        lut_path = tmp_path / "look.nulut"
+        save_lattice(lattice, lut_path, predictor=predictor)
+        out_path = tmp_path / "out.ppm"
+        assert cli_main(["apply", "--lut", str(lut_path), "--input", str(input_path),
+                         "--output", str(out_path)]) == 0
+        self.float_route(lut_path, input_path, tmp_path / "ref.ppm")
+        assert out_path.read_bytes() == (tmp_path / "ref.ppm").read_bytes()
+
+    def test_out_of_range_table_values_clip_at_write(self, rng, tmp_path, capsys):
+        input_path = tmp_path / "in.ppm"
+        write_image(rng.random((3, 20, 20)), input_path, maxval=255)
+        lattice = random_lattice(rng, 4)
+        lattice.values[...] = rng.uniform(-0.5, 1.5, size=lattice.values.shape)
+        lut_path = tmp_path / "wild.nulut"
+        save_lattice(lattice, lut_path)
+        out_path = tmp_path / "out.ppm"
+        assert cli_main(["apply", "--lut", str(lut_path), "--input", str(input_path),
+                         "--output", str(out_path)]) == 0
+        self.float_route(lut_path, input_path, tmp_path / "ref.ppm")
+        assert out_path.read_bytes() == (tmp_path / "ref.ppm").read_bytes()
+        levels, _ = ppm.read_ppm(out_path, raw=True)
+        assert levels.min() == 0 and levels.max() == 255
+
+    def test_sample_above_maxval_exits_2(self, rng, tmp_path, capsys, monkeypatch):
+        lut_path = tmp_path / "l.nulut"
+        save_lattice(random_lattice(rng, 3), lut_path)
+        bad = np.full((3, 2, 2), 300, dtype=np.uint16)
+        monkeypatch.setattr(ppm, "read_ppm", lambda path, raw=False: (bad, 255))
+        assert cli_main(["apply", "--lut", str(lut_path), "--input", "in.ppm",
+                         "--output", str(tmp_path / "o.ppm")]) == 2
+        assert capsys.readouterr().err == "error: quantized samples must lie in [0, 255]\n"
+        assert not (tmp_path / "o.ppm").exists()
+
+
+class TestZeroLengthRuns:
+    def assert_one_line_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err == "error: epochs must be at least 1, got 0\n"
+
+    def test_fit_zero_steps_exits_2(self, gamma_pair, tmp_path, capsys):
+        assert cli_main(
+            ["fit", "--input", str(gamma_pair[0]), "--target", str(gamma_pair[1]),
+             "--nsize", "3", "--steps", "0", "--adaptive", "--out", str(tmp_path / "l.nulut")]
+        ) == 2
+        self.assert_one_line_error(capsys)
+
+    def test_train_zero_epochs_exits_2(self, gamma_pair, tmp_path, capsys):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{gamma_pair[0]}\t{gamma_pair[1]}\n")
+        assert cli_main(
+            ["train", "--pairs-manifest", str(manifest), "--nsize", "3", "--m", "1",
+             "--epochs", "0", "--out", str(tmp_path / "p.nulut")]
+        ) == 2
+        self.assert_one_line_error(capsys)
 
 
 class TestTrain:

@@ -69,6 +69,62 @@ class TestLatticeRoundTrip:
             load_lattice(path)
 
 
+class TestParseErrors:
+    """A bad or missing float token is reported by field and token."""
+
+    @staticmethod
+    def corrupt(path, section, token_index, replacement):
+        """Replace the token_index-th token after the section keyword."""
+        tokens = path.read_text().split()
+        start = tokens.index(section) + 1
+        tokens[start + token_index] = replacement
+        path.write_text(" ".join(tokens))
+
+    def test_bad_coordinate_token(self, rng, tmp_path):
+        path = tmp_path / "c.nulut"
+        save_lattice(random_lattice(rng, 4), path)
+        self.corrupt(path, "g", 2, "0.4.1")
+        with pytest.raises(LutFormatError) as info:
+            load_lattice(path)
+        assert str(info.value) == "expected float in coords g, found '0.4.1'"
+
+    def test_bad_value_token(self, rng, tmp_path):
+        path = tmp_path / "v.nulut"
+        save_lattice(random_lattice(rng, 3), path)
+        self.corrupt(path, "values", 50, "zz")
+        with pytest.raises(LutFormatError) as info:
+            load_lattice(path)
+        assert str(info.value) == "expected float in values, found 'zz'"
+
+    def test_bad_predictor_token(self, rng, tmp_path):
+        path = tmp_path / "p.nulut"
+        save_lattice(random_lattice(rng, 3), path, predictor=init_params(n_s=3, m=2))
+        self.corrupt(path, "h0_bias", 1, "1e-3x")
+        with pytest.raises(LutFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == "expected float in h0_bias, found '1e-3x'"
+
+    def test_truncated_values_report_end_of_file(self, rng, tmp_path):
+        path = tmp_path / "t.nulut"
+        save_lattice(random_lattice(rng, 3), path)
+        tokens = path.read_text().split()
+        path.write_text(" ".join(tokens[: tokens.index("values") + 11]))
+        with pytest.raises(LutFormatError) as info:
+            load_lattice(path)
+        assert str(info.value) == "unexpected end of file, expected values value 10"
+
+    def test_tokens_parse_as_python_floats(self, rng, tmp_path):
+        path = tmp_path / "s.nulut"
+        save_lattice(random_lattice(rng, 2), path)
+        self.corrupt(path, "values", 0, "1_000")
+        self.corrupt(path, "values", 1, "-2.5E-1")
+        values = load_lattice(path).values.reshape(-1)
+        assert values[0] == 1000.0 and values[1] == -0.25
+        self.corrupt(path, "values", 2, "0x10")
+        with pytest.raises(LutFormatError, match="found '0x10'"):
+            load_lattice(path)
+
+
 class TestPredictorCheckpoint:
     def test_round_trip_with_predictor(self, rng, tmp_path):
         params = init_params(n_s=4, m=2, seed=3)

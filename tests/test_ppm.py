@@ -85,3 +85,21 @@ class TestWriteReadRoundTrip:
     def test_write_rejects_bad_maxval(self, rng, tmp_path):
         with pytest.raises(ValueError):
             write_image(rng.random((3, 2, 2)), tmp_path / "x.ppm", maxval=1000)
+
+
+class TestRawSamples:
+    @pytest.mark.parametrize("maxval,dtype", [(255, np.uint8), (65535, np.uint16)])
+    def test_raw_samples_scale_to_the_float_image(self, rng, tmp_path, maxval, dtype):
+        path = tmp_path / "raw.ppm"
+        write_image(rng.random((3, 7, 5)), path, maxval=maxval)
+        samples, read_maxval = read_ppm(path, raw=True)
+        assert read_maxval == maxval
+        assert samples.dtype == np.dtype(dtype) and samples.dtype.isnative
+        assert samples.shape == (3, 7, 5)
+        np.testing.assert_array_equal(samples.astype(np.float64) / maxval, read_ppm(path)[0])
+
+    def test_raw_16bit_sample_is_big_endian_on_disk(self, tmp_path):
+        path = tmp_path / "one16.ppm"
+        path.write_bytes(b"P6\n1 1\n65535\n" + bytes([0x80, 0x01, 0, 0, 0xFF, 0xFF]))
+        samples, _ = read_ppm(path, raw=True)
+        assert samples[:, 0, 0].tolist() == [0x8001, 0, 65535]

@@ -5,8 +5,17 @@ import pytest
 
 from conftest import random_lattice, transform_loop
 
-from nulut.lattice import Lattice, identity_lut, uniform_coordinates
+from nulut.lattice import (
+    MIN_INTERVAL,
+    Lattice,
+    coordinates_from_logits,
+    identity_lut,
+    uniform_coordinates,
+)
 from nulut.transform import (
+    CHUNK_PIXELS,
+    CHUNK_ROWS,
+    _transform_block,
     lookup,
     lookup_with_count,
     transform_image,
@@ -154,6 +163,19 @@ class TestTransformImage:
         for workers in (2, 4):
             assert np.array_equal(base, transform_image(img, lattice, workers=workers))
 
+    def test_wide_image_blocks_do_not_change_bits(self, rng):
+        # wide enough that a block is cut to fewer than CHUNK_ROWS rows
+        width = 3 * CHUNK_PIXELS // CHUNK_ROWS
+        lattice = random_lattice(rng, 5)
+        samples = rng.integers(0, 256, size=(3, 5, width), dtype=np.uint8)
+        img = samples / 255
+        whole = _transform_block(img.reshape(3, -1), lattice.coords, lattice.values)
+        for workers in (1, 2):
+            out = transform_image(img, lattice, workers=workers)
+            assert out.tobytes() == whole.reshape(img.shape).tobytes()
+            out = transform_image(samples, lattice, workers=workers, maxval=255)
+            assert out.tobytes() == whole.reshape(img.shape).tobytes()
+
     def test_continuity_across_cell_boundaries(self, rng):
         lattice = random_lattice(rng, 6, logit_scale=1.0)
         coords = lattice.coords
@@ -178,3 +200,78 @@ class TestTransformImage:
         lattice = random_lattice(rng, 3)
         with pytest.raises(ValueError):
             transform_image(rng.random((4, 4, 3)), lattice)
+
+
+def _level_lattices(rng):
+    """Random non-uniform lattices plus the edge cases of level lookup."""
+    lattices = [random_lattice(rng, n_s, logit_scale=2.0) for n_s in (2, 4, 17, 33)]
+    # a knot exactly on the 8-bit level 100/255 (and uniform knots j/17 = 15j/255)
+    row = np.array([0.0, 0.1, 100 / 255, 0.7, 1.0])
+    lattices.append(Lattice(np.tile(row, (3, 1)), rng.random((3, 5, 5, 5))))
+    lattices.append(Lattice(uniform_coordinates(18), rng.random((3, 18, 18, 18))))
+    # steep logits push intervals onto the MIN_INTERVAL floor
+    logits = np.tile([40.0, -40.0, -40.0, -40.0, 0.0, -40.0], (3, 1))
+    floored = coordinates_from_logits(logits)
+    assert np.diff(floored).min() < 2 * MIN_INTERVAL
+    lattices.append(Lattice(floored, rng.random((3, 7, 7, 7))))
+    for lattice in lattices:
+        # table values outside [0, 1] too: the output is never clamped
+        lattice.values[...] = rng.normal(0.5, 0.8, size=lattice.values.shape)
+    return lattices
+
+
+def _level_samples(rng, maxval, dtype, shape=(3, 70, 9)):
+    samples = rng.integers(0, maxval + 1, size=shape).astype(dtype)
+    samples[:, 0, 0] = 0
+    samples[:, 0, 1] = maxval
+    samples[0, 1, 0], samples[1, 1, 0], samples[2, 1, 0] = 0, maxval, 100
+    return samples
+
+
+class TestQuantizedLevels:
+    @pytest.mark.parametrize("maxval,dtype", [(255, np.uint8), (65535, np.uint16), (255, np.int64)])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_matches_float_path_bit_exactly(self, rng, maxval, dtype, workers):
+        for lattice in _level_lattices(rng):
+            samples = _level_samples(rng, maxval, dtype)
+            expected = transform_image(samples / maxval, lattice)
+            got = transform_image(samples, lattice, workers=workers, maxval=maxval)
+            assert got.dtype == np.float64 and got.shape == samples.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_every_8bit_level_matches_float_path(self, rng):
+        lattice = _level_lattices(rng)[3]  # n = 33
+        samples = np.stack([rng.permutation(256) for _ in range(3)]).reshape(3, 16, 16)
+        expected = transform_image(samples / 255, lattice)
+        assert transform_image(samples, lattice, maxval=255).tobytes() == expected.tobytes()
+
+    def test_matches_scalar_loop(self, rng):
+        lattice = random_lattice(rng, 5, logit_scale=2.0)
+        samples = _level_samples(rng, 255, np.uint8, shape=(3, 6, 5))
+        got = transform_image(samples, lattice, maxval=255)
+        assert np.array_equal(got, transform_loop(samples / 255, lattice))
+
+    def test_rejects_float_samples(self, rng):
+        lattice = random_lattice(rng, 3)
+        with pytest.raises(ValueError, match="integers"):
+            transform_image(rng.random((3, 4, 4)), lattice, maxval=255)
+
+    def test_rejects_bad_shape(self, rng):
+        lattice = random_lattice(rng, 3)
+        for shape in ((4, 4, 3), (3, 4), (3, 0, 4)):
+            with pytest.raises(ValueError, match="shape"):
+                transform_image(np.zeros(shape, dtype=np.uint8), lattice, maxval=255)
+
+    @pytest.mark.parametrize("bad", [256, -1])
+    def test_rejects_samples_outside_levels(self, rng, bad):
+        lattice = random_lattice(rng, 3)
+        samples = np.zeros((3, 4, 4), dtype=np.int32)
+        samples[1, 2, 3] = bad
+        with pytest.raises(ValueError, match=r"\[0, 255\]"):
+            transform_image(samples, lattice, maxval=255)
+
+    @pytest.mark.parametrize("maxval", [0, 65536, 2.5, True])
+    def test_rejects_bad_maxval(self, rng, maxval):
+        lattice = random_lattice(rng, 3)
+        with pytest.raises(ValueError, match="maxval"):
+            transform_image(np.zeros((3, 2, 2), dtype=np.uint8), lattice, maxval=maxval)
