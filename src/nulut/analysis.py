@@ -81,9 +81,7 @@ def accumulative_error_histogram(x, y, n_bin: int = DEFAULT_BINS) -> ErrorHistog
 
 def psnr(pred, target) -> float:
     """Peak signal-to-noise ratio in dB, capped at 100 for near-zero MSE."""
-    a, b = _check_pair(pred, target)
-    d = a - b
-    mse = float(np.mean(d * d))
+    mse = float(np.mean(error_map(pred, target)))
     if mse < 1e-10:
         return 100.0
     return -10.0 * np.log10(mse)

@@ -98,21 +98,32 @@ def _load_pair(input_path, target_path) -> training.ImagePair:
     return training.ImagePair(ppm.read_image(input_path), ppm.read_image(target_path))
 
 
-def _fit_config(args, steps) -> training.TrainConfig:
-    freeze = args.freeze if args.freeze is not None else max(1, steps // 10)
+def _train_config(args, epochs, freeze) -> training.TrainConfig:
     return training.TrainConfig(
         learning_rate=args.lr,
-        epochs=steps,
-        freeze_interval_epochs=min(freeze, steps),
+        epochs=epochs,
+        freeze_interval_epochs=min(freeze, epochs),
         interval_lr_decay=args.interval_lr_decay,
         seed=args.seed,
     )
 
 
+def _predicted_lattice(img, params) -> Lattice:
+    """The lattice the predictor heads give for one (3, h, w) float image."""
+    features = extract_features(img)
+    return Lattice(
+        coordinates_from_logits(predict_logits(features, params)),
+        predict_values(features, params),
+    )
+
+
 def _cmd_fit(args) -> int:
+    if args.steps < 1:
+        raise ValueError(f"--steps must be at least 1, got {args.steps}")
     pair = _load_pair(args.input, args.target)
     weights = training.LossWeights(lambda_s=args.lambda_s, lambda_m=args.lambda_m)
-    config = _fit_config(args, args.steps)
+    freeze = args.freeze if args.freeze is not None else max(1, args.steps // 10)
+    config = _train_config(args, args.steps, freeze)
     lattice, history = training.fit_direct(
         [pair], args.nsize, config, weights,
         adaptive=args.adaptive, shared=args.shared,
@@ -130,9 +141,7 @@ def _cmd_apply(args) -> int:
     lattice, predictor = lutio.load_checkpoint(args.lut)
     samples, maxval = ppm.read_ppm(args.input, raw=True)
     if predictor is not None:
-        features = extract_features(samples.astype(np.float64) / maxval)
-        coords = coordinates_from_logits(predict_logits(features, predictor))
-        lattice = Lattice(coords, predict_values(features, predictor))
+        lattice = _predicted_lattice(samples.astype(np.float64) / maxval, predictor)
     # write_image rounds and clips to [0, maxval], so no clip to [0, 1] here
     out = transform_image(samples, lattice, maxval=maxval)
     ppm.write_image(out, args.output, maxval=maxval)
@@ -160,23 +169,13 @@ def _read_manifest(path):
 
 def _cmd_train(args) -> int:
     pairs = _read_manifest(args.pairs_manifest)
-    config = training.TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        freeze_interval_epochs=min(args.freeze, args.epochs),
-        interval_lr_decay=args.interval_lr_decay,
-        seed=args.seed,
-    )
+    config = _train_config(args, args.epochs, args.freeze)
     params, history = training.train_predictor(
         pairs, args.nsize, args.m, config,
         shared=args.shared, batch_size=args.batch,
     )
     # reference lattice: the prediction for the first training input
-    features = extract_features(pairs[0].input)
-    lattice = Lattice(
-        coordinates_from_logits(predict_logits(features, params)),
-        predict_values(features, params),
-    )
+    lattice = _predicted_lattice(pairs[0].input, params)
     lutio.save_lattice(lattice, args.out, predictor=params)
     if args.history:
         training.write_history_csv(history, args.history)

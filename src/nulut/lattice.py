@@ -111,22 +111,22 @@ def shared_to_full(shared_row: np.ndarray) -> np.ndarray:
 def validate_coordinates(coords: np.ndarray) -> np.ndarray:
     """Check the sampling-coordinate invariants, returning the array.
 
-    Each row must start at exactly 0, end at 1 (within 1e-9), and be
-    strictly increasing.
+    Each row must be finite, start at exactly 0, end at 1 (within 1e-9),
+    and be strictly increasing.  Errors name the row's channel.
     """
     c = np.asarray(coords, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] != 3 or c.shape[1] < 2:
         raise ValueError(f"coordinates must have shape (3, n>=2), got {c.shape}")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("coordinates must be finite")
-    if np.any(c[:, 0] != 0.0):
-        raise ValueError("coordinate rows must start at exactly 0")
-    if np.any(np.abs(c[:, -1] - 1.0) > _COORD_END_TOL):
-        raise ValueError("coordinate rows must end at 1")
-    gaps = np.diff(c, axis=1)
-    if np.any(gaps <= 0.0):
-        ch, idx = np.argwhere(gaps <= 0.0)[0]
-        raise ValueError(f"coordinates non-monotone at channel {ch} index {idx + 1}")
+    for name, row in zip("rgb", c):
+        if not np.all(np.isfinite(row)):
+            raise ValueError(f"coords {name}: entries must be finite")
+        if row[0] != 0.0:
+            raise ValueError(f"coords {name}: first entry must be 0, got {row[0]}")
+        if abs(row[-1] - 1.0) > _COORD_END_TOL:
+            raise ValueError(f"coords {name}: last entry must be 1, got {row[-1]}")
+        bad = np.flatnonzero(np.diff(row) <= 0.0)
+        if bad.size:
+            raise ValueError(f"coords {name}: non-monotone at index {bad[0] + 1}")
     return c
 
 

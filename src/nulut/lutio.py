@@ -13,6 +13,8 @@ The native format is a plain-text token stream so diffs stay readable:
      g_weights <...> g_bias <...> h0_weights <...> h0_bias <...>
      h1_weights <...> h1_bias <...>]
 
+The predictor arrays follow predictor.PARAM_ARRAYS, each under its field
+name except basis_luts, which the file calls h1_weights (_FILE_NAMES).
 Floats are written with 17 significant digits, which round-trips IEEE
 doubles exactly.  Loading re-validates every lattice invariant.
 """
@@ -22,20 +24,14 @@ from __future__ import annotations
 import numpy as np
 
 from .lattice import Lattice
-from .predictor import PredictorParams
+from .predictor import PARAM_ARRAYS, PredictorParams, param_shapes
 from .transform import _transform_block
 
 FORMAT_MAGIC = "NULUT3D"
 FORMAT_VERSION = 1
 
-_PREDICTOR_FIELDS = (
-    "g_weights",
-    "g_bias",
-    "h0_weights",
-    "h0_bias",
-    "h1_weights",
-    "h1_bias",
-)
+# PredictorParams field -> its section name in the file, where they differ
+_FILE_NAMES = {"basis_luts": "h1_weights"}
 
 
 class LutFormatError(ValueError):
@@ -61,18 +57,9 @@ def save_lattice(lattice: Lattice, path, predictor: PredictorParams | None = Non
         if predictor is not None:
             shared = 1 if predictor.shared else 0
             fh.write(f"predictor {predictor.f_dim} {predictor.m} {shared}\n")
-            arrays = {
-                "g_weights": predictor.g_weights,
-                "g_bias": predictor.g_bias,
-                "h0_weights": predictor.h0_weights,
-                "h0_bias": predictor.h0_bias,
-                "h1_weights": predictor.basis_luts,
-                "h1_bias": predictor.h1_bias,
-            }
-            for name in _PREDICTOR_FIELDS:
-                arr = arrays[name]
-                fh.write(f"{name}\n")
-                for row in np.atleast_2d(arr):
+            for name in PARAM_ARRAYS:
+                fh.write(f"{_FILE_NAMES.get(name, name)}\n")
+                for row in np.atleast_2d(getattr(predictor, name)):
                     fh.write(_fmt(row) + "\n")
 
 
@@ -125,17 +112,6 @@ class _Tokens:
         return self.pos >= len(self.tokens)
 
 
-def _check_row(name, row):
-    if row[0] != 0.0:
-        raise LutFormatError(f"coords {name}: first entry must be 0, got {row[0]!r}")
-    if abs(row[-1] - 1.0) > 1e-9:
-        raise LutFormatError(f"coords {name}: last entry must be 1, got {row[-1]!r}")
-    diffs = np.diff(row)
-    bad = np.nonzero(diffs <= 0.0)[0]
-    if bad.size:
-        raise LutFormatError(f"coords {name}: non-monotone at index {bad[0] + 1}")
-
-
 def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
     """Read a checkpoint, returning the lattice and any predictor section."""
     with open(path, "r", encoding="ascii") as fh:
@@ -155,12 +131,12 @@ def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
         toks.expect("coords")
         toks.expect(name)
         coords[c] = toks.take_floats(n, f"coords {name}")
-        _check_row(name, coords[c])
     toks.expect("values")
     values = toks.take_floats(3 * n**3, "values").reshape(3, n, n, n)
-    if not np.all(np.isfinite(values)):
-        raise LutFormatError("values must be finite")
-    lattice = Lattice(coords, values)
+    try:
+        lattice = Lattice(coords, values)
+    except ValueError as exc:
+        raise LutFormatError(str(exc)) from None
 
     predictor = None
     if not toks.done():
@@ -170,34 +146,12 @@ def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
         shared = toks.take_int("shared flag")
         if shared not in (0, 1):
             raise LutFormatError(f"shared flag must be 0 or 1, got {shared}")
-        k = n - 1
-        logit_dim = k if shared else 3 * k
-        table_dim = 3 * n**3
-        sizes = {
-            "g_weights": (f_dim, logit_dim),
-            "g_bias": (logit_dim,),
-            "h0_weights": (f_dim, m),
-            "h0_bias": (m,),
-            "h1_weights": (m, table_dim),
-            "h1_bias": (table_dim,),
-        }
         arrays = {}
-        for name in _PREDICTOR_FIELDS:
-            toks.expect(name)
-            shape = sizes[name]
-            arrays[name] = toks.take_floats(int(np.prod(shape)), name).reshape(shape)
-        predictor = PredictorParams(
-            g_weights=arrays["g_weights"],
-            g_bias=arrays["g_bias"],
-            h0_weights=arrays["h0_weights"],
-            h0_bias=arrays["h0_bias"],
-            basis_luts=arrays["h1_weights"],
-            h1_bias=arrays["h1_bias"],
-            n_s=n,
-            m=m,
-            f_dim=f_dim,
-            shared=bool(shared),
-        )
+        for name, shape in param_shapes(n, m, f_dim, bool(shared)).items():
+            section = _FILE_NAMES.get(name, name)
+            toks.expect(section)
+            arrays[name] = toks.take_floats(int(np.prod(shape)), section).reshape(shape)
+        predictor = PredictorParams(**arrays, n_s=n, m=m, f_dim=f_dim, shared=bool(shared))
     if not toks.done():
         raise LutFormatError(f"trailing data from token {toks.pos}")
     return lattice, predictor

@@ -90,7 +90,9 @@ def write_image(img, path, maxval: int = 255) -> None:
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 3 or a.shape[0] != 3:
         raise ValueError(f"image must have shape (3, h, w), got {a.shape}")
-    levels = np.floor(a * maxval + 0.5)
+    levels = a * maxval
+    levels += 0.5
+    np.floor(levels, out=levels)
     np.clip(levels, 0, maxval, out=levels)
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     raster = levels.transpose(1, 2, 0).astype(dtype)

@@ -15,10 +15,29 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import bin_indices
 from .lattice import identity_lut, shared_to_full, uniform_coordinates
+from .transform import _validate_image
 
 HIST_BINS = 32
 FEATURE_DIM = 3 * HIST_BINS + 6
+
+# the parameter arrays of PredictorParams, in checkpoint order
+PARAM_ARRAYS = ("g_weights", "g_bias", "h0_weights", "h0_bias", "basis_luts", "h1_bias")
+
+
+def param_shapes(n_s: int, m: int, f_dim: int, shared: bool) -> dict:
+    """Shape of each array in PARAM_ARRAYS, in that order, for one configuration."""
+    logit_dim = n_s - 1 if shared else 3 * (n_s - 1)
+    table_dim = 3 * n_s**3
+    return {
+        "g_weights": (f_dim, logit_dim),
+        "g_bias": (logit_dim,),
+        "h0_weights": (f_dim, m),
+        "h0_bias": (m,),
+        "basis_luts": (m, table_dim),
+        "h1_bias": (table_dim,),
+    }
 
 
 def extract_features(img) -> np.ndarray:
@@ -26,16 +45,13 @@ def extract_features(img) -> np.ndarray:
 
     Layout: 32 normalized histogram bins for each of r, g, b, then the
     three channel means, then the three channel standard deviations.
+    The image must hold finite values in [0, 1].
     """
-    a = np.asarray(img, dtype=np.float64)
-    if a.ndim != 3 or a.shape[0] != 3:
-        raise ValueError(f"image must have shape (3, h, w), got {a.shape}")
-    pixels = a.reshape(3, -1)
+    pixels = _validate_image(img).reshape(3, -1)
     parts = []
     for c in range(3):
-        idx = np.minimum((pixels[c] * HIST_BINS).astype(np.intp), HIST_BINS - 1)
-        hist = np.bincount(idx, minlength=HIST_BINS) / pixels.shape[1]
-        parts.append(hist)
+        hist = np.bincount(bin_indices(pixels[c], HIST_BINS), minlength=HIST_BINS)
+        parts.append(hist / pixels.shape[1])
     parts.append(pixels.mean(axis=1))
     parts.append(pixels.std(axis=1))
     return np.concatenate(parts)
@@ -63,18 +79,7 @@ class PredictorParams:
     shared: bool = False
 
     def __post_init__(self):
-        k = self.n_s - 1
-        logit_dim = k if self.shared else 3 * k
-        table_dim = 3 * self.n_s**3
-        expected = {
-            "g_weights": (self.f_dim, logit_dim),
-            "g_bias": (logit_dim,),
-            "h0_weights": (self.f_dim, self.m),
-            "h0_bias": (self.m,),
-            "basis_luts": (self.m, table_dim),
-            "h1_bias": (table_dim,),
-        }
-        for name, shape in expected.items():
+        for name, shape in param_shapes(self.n_s, self.m, self.f_dim, self.shared).items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -100,21 +105,19 @@ def init_params(
     """
     if n_s < 2 or m < 1 or f_dim < 1:
         raise ValueError(f"invalid dimensions n_s={n_s}, m={m}, f_dim={f_dim}")
-    k = n_s - 1
-    logit_dim = k if shared else 3 * k
-    table_dim = 3 * n_s**3
+    shapes = param_shapes(n_s, m, f_dim, shared)
     rng = np.random.default_rng(seed)
-    basis = rng.normal(0.0, basis_noise_std, size=(m, table_dim))
+    basis = rng.normal(0.0, basis_noise_std, size=shapes["basis_luts"])
     basis[0] = identity_lut(uniform_coordinates(n_s)).ravel()
     h0_bias = np.zeros(m)
     h0_bias[0] = 1.0
     return PredictorParams(
-        g_weights=np.zeros((f_dim, logit_dim)),
-        g_bias=np.ones(logit_dim),
-        h0_weights=np.zeros((f_dim, m)),
+        g_weights=np.zeros(shapes["g_weights"]),
+        g_bias=np.ones(shapes["g_bias"]),
+        h0_weights=np.zeros(shapes["h0_weights"]),
         h0_bias=h0_bias,
         basis_luts=basis,
-        h1_bias=np.zeros(table_dim),
+        h1_bias=np.zeros(shapes["h1_bias"]),
         n_s=n_s,
         m=m,
         f_dim=f_dim,

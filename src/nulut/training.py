@@ -10,10 +10,11 @@ which keeps the knot layout stable while the table values settle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .analysis import _check_pair
 from .lattice import (
     Lattice,
     coordinate_logit_vjp,
@@ -23,7 +24,15 @@ from .lattice import (
     softmax_normalize,
     uniform_coordinates,
 )
-from .predictor import PredictorParams, extract_features, init_params
+from .predictor import (
+    PARAM_ARRAYS,
+    PredictorParams,
+    extract_features,
+    init_params,
+    predict_logits,
+    predict_values,
+    predict_weights,
+)
 from .transform import transform_image, transform_with_grads
 
 
@@ -57,8 +66,14 @@ class TrainConfig:
             raise ValueError("learning rate must be positive")
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.freeze_interval_epochs > self.epochs:
-            raise ValueError("freeze_interval_epochs must not exceed epochs")
+        if not 0 <= self.freeze_interval_epochs <= self.epochs:
+            raise ValueError(
+                f"freeze_interval_epochs must lie in [0, epochs], got {self.freeze_interval_epochs}"
+            )
+        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
+            raise ValueError(f"betas must lie in [0, 1), got {self.adam_beta1}, {self.adam_beta2}")
+        if not self.adam_eps > 0:
+            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 @dataclass(frozen=True)
@@ -77,40 +92,18 @@ class ImagePair:
 HISTORY_COLUMNS = ("step", "loss", "l_r", "l_s", "l_m")
 
 
-def reconstruction_loss(pred, target) -> float:
-    """Mean squared error over all 3*h*w entries."""
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
-    d = p - t
-    return float(np.mean(d * d))
-
-
 def reconstruction_loss_grad(pred, target):
-    p = np.asarray(pred, dtype=np.float64)
-    t = np.asarray(target, dtype=np.float64)
-    if p.shape != t.shape:
-        raise ValueError(f"shape mismatch: {p.shape} vs {t.shape}")
+    """Mean squared error over all 3*h*w entries, and its gradient."""
+    p, t = _check_pair(pred, target)
     d = p - t
-    return float(np.mean(d * d)), 2.0 * d / d.size
-
-
-def smoothness_loss(table) -> float:
-    """Mean squared second difference of every channel along every axis."""
-    t = np.asarray(table, dtype=np.float64)
-    if t.shape[1] < 3:
-        return 0.0
-    total = 0.0
-    count = 0
-    for axis in (1, 2, 3):
-        d2 = np.diff(t, n=2, axis=axis)
-        total += float(np.sum(d2 * d2))
-        count += d2.size
-    return total / count
+    loss = float(np.mean(d * d))
+    d *= 2.0
+    d /= d.size
+    return loss, d
 
 
 def smoothness_loss_grad(table):
+    """Mean squared second difference of every channel along every axis."""
     t = np.asarray(table, dtype=np.float64)
     grad = np.zeros_like(t)
     if t.shape[1] < 3:
@@ -120,20 +113,16 @@ def smoothness_loss_grad(table):
     for axis in (1, 2, 3):
         d2 = np.diff(t, n=2, axis=axis)
         total += float(np.sum(d2 * d2))
-        g2 = (2.0 / count) * d2
-        lo = [slice(None)] * 4
-        mid = [slice(None)] * 4
-        hi = [slice(None)] * 4
-        lo[axis] = slice(0, -2)
-        mid[axis] = slice(1, -1)
-        hi[axis] = slice(2, None)
-        grad[tuple(lo)] += g2
-        grad[tuple(mid)] -= 2.0 * g2
-        grad[tuple(hi)] += g2
+        # views with the differenced axis first, so one slice fits every axis
+        g2 = np.moveaxis((2.0 / count) * d2, axis, 0)
+        g = np.moveaxis(grad, axis, 0)
+        g[:-2] += g2
+        g[1:-1] -= 2.0 * g2
+        g[2:] += g2
     return total / count, grad
 
 
-def monotonicity_loss(table) -> float:
+def monotonicity_loss_grad(table):
     """Squared hinge on own-axis first differences, averaged over all sites.
 
     Channel c is penalized where it decreases along its own lattice axis
@@ -143,31 +132,28 @@ def monotonicity_loss(table) -> float:
     n = t.shape[1]
     count = 3 * (n - 1) * n * n
     total = 0.0
-    for c in range(3):
-        d = np.diff(t[c], axis=c)
-        neg = np.minimum(d, 0.0)
-        total += float(np.sum(neg * neg))
-    return total / count
-
-
-def monotonicity_loss_grad(table):
-    t = np.asarray(table, dtype=np.float64)
-    n = t.shape[1]
-    count = 3 * (n - 1) * n * n
-    total = 0.0
     grad = np.zeros_like(t)
     for c in range(3):
         d = np.diff(t[c], axis=c)
         neg = np.minimum(d, 0.0)
         total += float(np.sum(neg * neg))
-        gd = (2.0 / count) * neg
-        lo = [slice(None)] * 3
-        hi = [slice(None)] * 3
-        lo[c] = slice(0, -1)
-        hi[c] = slice(1, None)
-        grad[c][tuple(hi)] += gd
-        grad[c][tuple(lo)] -= gd
+        gd = np.moveaxis((2.0 / count) * neg, c, 0)
+        g = np.moveaxis(grad[c], c, 0)
+        g[1:] += gd
+        g[:-1] -= gd
     return total / count, grad
+
+
+def reconstruction_loss(pred, target) -> float:
+    return reconstruction_loss_grad(pred, target)[0]
+
+
+def smoothness_loss(table) -> float:
+    return smoothness_loss_grad(table)[0]
+
+
+def monotonicity_loss(table) -> float:
+    return monotonicity_loss_grad(table)[0]
 
 
 def total_loss(pred, target, table, weights: LossWeights) -> float:
@@ -231,12 +217,60 @@ def _check_loss(loss, initial, step):
         )
 
 
-def _expand_logits(logits, shared):
-    return shared_to_full(logits[0]) if shared else logits
+def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossWeights):
+    """((loss, l_r, l_s, l_m), grad_values, grad_logits) of one pair.
+
+    q is the softmax output the lattice's coordinates were built from.
+    """
+    # the prediction is not kept, so the backward below can reuse its memory
+    l_r, g_pred = reconstruction_loss_grad(transform_image(pair.input, lattice), pair.target)
+    l_s, g_s = smoothness_loss_grad(lattice.values)
+    l_m, g_m = monotonicity_loss_grad(lattice.values)
+    loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
+    _, lat_grads = transform_with_grads(pair.input, g_pred, lattice)
+    g_table = lat_grads.grad_values + weights.lambda_s * g_s + weights.lambda_m * g_m
+    g_logits = coordinate_logit_vjp(q, lat_grads.grad_coords)
+    return (loss, l_r, l_s, l_m), g_table, g_logits
 
 
-def _collapse_logit_grad(grad, shared):
-    return grad.sum(axis=0, keepdims=True) if shared else grad
+def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig,
+              interval_names, adaptive: bool = True):
+    """Adam over batches for config.epochs epochs: the schedule both regimes share.
+
+    loss_and_grads(params, pair) gives one pair's loss parts and gradient
+    dict, averaged over each batch.  interval_names stay frozen for the
+    warmup (for the whole run with adaptive=False), then train at the
+    decayed rate.  Returns the final parameters and the loss history.
+    """
+    if not batches:
+        raise ValueError("at least one image pair is required")
+    state = AdamState()
+    # frozen interval parameters get no gradient, so the scales only act unfrozen
+    lr_scales = {name: config.interval_lr_decay for name in interval_names}
+    history = []
+    initial_loss = None
+    for epoch in range(config.epochs):
+        train_intervals = adaptive and epoch >= config.freeze_interval_epochs
+        for batch in batches:
+            pair_parts, acc = loss_and_grads(params, batch[0])
+            parts = np.array(pair_parts)
+            for pair in batch[1:]:
+                pair_parts, grads = loss_and_grads(params, pair)
+                parts += pair_parts
+                for name in acc:
+                    acc[name] += grads[name]
+            for name in acc:
+                acc[name] /= len(batch)
+            parts /= len(batch)
+            if initial_loss is None:
+                initial_loss = parts[0]
+            _check_loss(parts[0], initial_loss, len(history))
+            if not train_intervals:
+                for name in interval_names:
+                    del acc[name]
+            params = adam_step(params, acc, state, config, lr_scales)
+            history.append((len(history), *parts))
+    return params, np.asarray(history)
 
 
 def fit_direct(
@@ -257,79 +291,32 @@ def fit_direct(
     Returns the fitted Lattice and the per-step loss history as an array
     with columns HISTORY_COLUMNS.
     """
-    if not pairs:
-        raise ValueError("at least one image pair is required")
+    def build(params):
+        logits = params["logits"]
+        q = softmax_normalize(shared_to_full(logits[0]) if shared else logits)
+        return Lattice(intervals_to_coordinates(q), params["values"]), q
+
+    def loss_and_grads(params, pair):
+        parts, g_table, g_logits = _lattice_loss_and_grads(*build(params), pair, weights)
+        if shared:
+            g_logits = g_logits.sum(axis=0, keepdims=True)
+        return parts, {"values": g_table, "logits": g_logits}
+
     params = {
         "logits": np.ones((1 if shared else 3, n_s - 1)),
         "values": identity_lut(uniform_coordinates(n_s)),
     }
-    state = AdamState()
-    history = []
-    initial_loss = None
-    step = 0
-    for epoch in range(config.epochs):
-        train_intervals = adaptive and epoch >= config.freeze_interval_epochs
-        for pair in pairs:
-            q = softmax_normalize(_expand_logits(params["logits"], shared))
-            lattice = Lattice(intervals_to_coordinates(q), params["values"])
-            pred = transform_image(pair.input, lattice)
-            l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
-            l_s, g_s = smoothness_loss_grad(params["values"])
-            l_m, g_m = monotonicity_loss_grad(params["values"])
-            loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
-            if initial_loss is None:
-                initial_loss = loss
-            _check_loss(loss, initial_loss, step)
-            _, lat_grads = transform_with_grads(pair.input, g_pred, lattice)
-            grads = {
-                "values": lat_grads.grad_values
-                + weights.lambda_s * g_s
-                + weights.lambda_m * g_m
-            }
-            lr_scales = None
-            if train_intervals:
-                g_logits = coordinate_logit_vjp(q, lat_grads.grad_coords)
-                grads["logits"] = _collapse_logit_grad(g_logits, shared)
-                lr_scales = {"logits": config.interval_lr_decay}
-            params = adam_step(params, grads, state, config, lr_scales)
-            history.append((step, loss, l_r, l_s, l_m))
-            step += 1
-    q = softmax_normalize(_expand_logits(params["logits"], shared))
-    lattice = Lattice(intervals_to_coordinates(q), params["values"])
-    return lattice, np.asarray(history)
-
-
-def _params_to_dict(params: PredictorParams) -> dict:
-    return {
-        "g_weights": params.g_weights,
-        "g_bias": params.g_bias,
-        "h0_weights": params.h0_weights,
-        "h0_bias": params.h0_bias,
-        "basis_luts": params.basis_luts,
-        "h1_bias": params.h1_bias,
-    }
-
-
-def _dict_to_params(d: dict, template: PredictorParams) -> PredictorParams:
-    return PredictorParams(
-        n_s=template.n_s,
-        m=template.m,
-        f_dim=template.f_dim,
-        shared=template.shared,
-        **d,
+    params, history = _optimize(
+        params, loss_and_grads, [[pair] for pair in pairs], config, ("logits",), adaptive
     )
+    return build(params)[0], history
 
 
 def predictor_forward(features, params: PredictorParams):
     """Lattice prediction keeping the intermediates needed for backward."""
-    raw = features @ params.g_weights + params.g_bias
-    logits = shared_to_full(raw) if params.shared else raw.reshape(3, params.n_s - 1)
-    q = softmax_normalize(logits)
-    coords = intervals_to_coordinates(q)
-    blend = features @ params.h0_weights + params.h0_bias
-    flat = blend @ params.basis_luts + params.h1_bias
-    n = params.n_s
-    return Lattice(coords, flat.reshape(3, n, n, n)), q, blend
+    q = softmax_normalize(predict_logits(features, params))
+    lattice = Lattice(intervals_to_coordinates(q), predict_values(features, params))
+    return lattice, q, predict_weights(features, params)
 
 
 def predictor_loss_and_grads(
@@ -338,18 +325,9 @@ def predictor_loss_and_grads(
     """Loss terms and gradients w.r.t. every head parameter for one pair."""
     features = extract_features(pair.input)
     lattice, q, blend = predictor_forward(features, params)
-    pred = transform_image(pair.input, lattice)
-    l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
-    l_s, g_s = smoothness_loss_grad(lattice.values)
-    l_m, g_m = monotonicity_loss_grad(lattice.values)
-    loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
-    _, lat_grads = transform_with_grads(pair.input, g_pred, lattice)
-
-    g_table = (
-        lat_grads.grad_values + weights.lambda_s * g_s + weights.lambda_m * g_m
-    ).ravel()
+    parts, g_table, g_logits = _lattice_loss_and_grads(lattice, q, pair, weights)
+    g_table = g_table.ravel()
     g_blend = params.basis_luts @ g_table
-    g_logits = coordinate_logit_vjp(q, lat_grads.grad_coords)
     g_raw = g_logits.sum(axis=0) if params.shared else g_logits.ravel()
     grads = {
         "g_weights": np.outer(features, g_raw),
@@ -359,7 +337,7 @@ def predictor_loss_and_grads(
         "basis_luts": np.outer(blend, g_table),
         "h1_bias": g_table,
     }
-    return (loss, l_r, l_s, l_m), grads
+    return parts, grads
 
 
 def train_predictor(
@@ -378,49 +356,19 @@ def train_predictor(
     counted in epochs.  Returns the trained parameters and the per-step
     loss history.
     """
-    if not pairs:
-        raise ValueError("at least one image pair is required")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    params = init_params(n_s, m, shared=shared, seed=config.seed)
-    pdict = _params_to_dict(params)
-    state = AdamState()
-    interval_names = ("g_weights", "g_bias")
-    history = []
-    initial_loss = None
-    step = 0
-    for epoch in range(config.epochs):
-        train_intervals = epoch >= config.freeze_interval_epochs
-        for start in range(0, len(pairs), batch_size):
-            batch = pairs[start : start + batch_size]
-            acc = None
-            batch_losses = np.zeros(4)
-            for pair in batch:
-                current = _dict_to_params(pdict, params)
-                parts, grads = predictor_loss_and_grads(current, pair, weights)
-                batch_losses += np.asarray(parts)
-                if acc is None:
-                    acc = grads
-                else:
-                    for name in acc:
-                        acc[name] += grads[name]
-            for name in acc:
-                acc[name] /= len(batch)
-            batch_losses /= len(batch)
-            loss = batch_losses[0]
-            if initial_loss is None:
-                initial_loss = loss
-            _check_loss(loss, initial_loss, step)
-            lr_scales = None
-            if train_intervals:
-                lr_scales = {name: config.interval_lr_decay for name in interval_names}
-            else:
-                for name in interval_names:
-                    acc.pop(name)
-            pdict = adam_step(pdict, acc, state, config, lr_scales)
-            history.append((step, *batch_losses))
-            step += 1
-    return _dict_to_params(pdict, params), np.asarray(history)
+    template = init_params(n_s, m, shared=shared, seed=config.seed)
+
+    def loss_and_grads(arrays, pair):
+        return predictor_loss_and_grads(replace(template, **arrays), pair, weights)
+
+    batches = [pairs[start : start + batch_size] for start in range(0, len(pairs), batch_size)]
+    arrays, history = _optimize(
+        {name: getattr(template, name) for name in PARAM_ARRAYS},
+        loss_and_grads, batches, config, ("g_weights", "g_bias"),
+    )
+    return replace(template, **arrays), history
 
 
 def write_history_csv(history, path) -> None:

@@ -73,10 +73,7 @@ def _bisect_cell(coords_row, x):
 
 def lookup(coords_row: np.ndarray, x: float) -> LookupResult:
     """Locate x in a sorted coordinate row: cell indices and bounds."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"query must lie in [0, 1], got {x}")
-    e0, _ = _bisect_cell(coords_row, x)
-    return LookupResult(e0, e0 + 1, float(coords_row[e0]), float(coords_row[e0 + 1]))
+    return lookup_with_count(coords_row, x)[0]
 
 
 def lookup_with_count(coords_row: np.ndarray, x: float) -> tuple[LookupResult, int]:
@@ -133,10 +130,7 @@ def transform_pixel(pixel, lattice: Lattice) -> np.ndarray:
     e = np.empty(3, dtype=np.intp)
     xd = np.empty(3)
     for c in range(3):
-        e0, _ = _bisect_cell(coords[c], p[c])
-        e[c] = e0
-        x0 = coords[c][e0]
-        x1 = coords[c][e0 + 1]
+        e[c], _, x0, x1 = lookup(coords[c], p[c])
         xd[c] = (p[c] - x0) / (x1 - x0)
     wr = (1.0 - xd[0], xd[0])
     wg = (1.0 - xd[1], xd[1])
@@ -150,7 +144,7 @@ def transform_pixel(pixel, lattice: Lattice) -> np.ndarray:
 
 
 def _locate(coords, pix):
-    """Vectorized cell location for pixel columns pix of shape (3, p)."""
+    """Low knot index e0, cell width gap and offset xd for pixel columns (3, p)."""
     n = coords.shape[1]
     e0 = np.empty(pix.shape, dtype=np.intp)
     for c in range(3):
@@ -160,19 +154,24 @@ def _locate(coords, pix):
     np.maximum(e0, 0, out=e0)
     lo = e0 + np.array([[0], [n], [2 * n]])
     x0 = coords.take(lo)
-    x1 = coords.take(lo + 1)
-    xd = (pix - x0) / (x1 - x0)
-    return e0, x0, x1, xd
+    lo += 1
+    gap = coords.take(lo)
+    gap -= x0
+    xd = pix - x0
+    xd /= gap
+    return e0, gap, xd
 
 
 def _base_index(e0, n):
     """Flat table index of each pixel's low corner (e_r, e_g, e_b)."""
-    return (e0[0] * n + e0[1]) * n + e0[2]
+    return np.ravel_multi_index(e0, (n, n, n))
 
 
 def _weight_pairs(xd):
     """Per-axis trilinear weight pairs (1 - xd, xd), shape (3, 2, ...)."""
-    return np.stack((1.0 - xd, xd), axis=1)
+    pairs = np.stack((xd, xd), axis=1)
+    np.subtract(1.0, xd, out=pairs[:, 0])
+    return pairs
 
 
 def _blend(flat, n, base, wr, wg, wb):
@@ -197,7 +196,7 @@ def _blend(flat, n, base, wr, wg, wb):
 def _transform_block(pix, coords, values):
     """Transform flattened pixel columns (3, p) against raw lattice arrays."""
     n = coords.shape[1]
-    e0, _, _, xd = _locate(coords, pix)
+    e0, _, xd = _locate(coords, pix)
     return _blend(values.reshape(3, n * n * n), n, _base_index(e0, n), *_weight_pairs(xd))
 
 
@@ -211,7 +210,7 @@ def _level_tables(coords, maxval):
     """
     n = coords.shape[1]
     levels = np.arange(maxval + 1, dtype=np.float64) / maxval
-    e0, _, _, xd = _locate(coords, np.tile(levels, (3, 1)))
+    e0, _, xd = _locate(coords, np.tile(levels, (3, 1)))
     return e0 * np.array([[n * n], [n], [1]]), _weight_pairs(xd)
 
 
@@ -242,6 +241,14 @@ def _validate_samples(samples, maxval) -> np.ndarray:
 
 def _row_blocks(height, rows=CHUNK_ROWS):
     return [(r, min(r + rows, height)) for r in range(0, height, rows)]
+
+
+def _map_blocks(run, blocks, workers):
+    """run(block) for every block, results in block order, on workers threads."""
+    if workers > 1 and len(blocks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(run, blocks))
+    return [run(block) for block in blocks]
 
 
 def transform_image(
@@ -283,12 +290,7 @@ def transform_image(
         res = block_transform(a[:, r0:r1, :].reshape(3, -1))
         out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
 
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, blocks))
-    else:
-        for block in blocks:
-            run(block)
+    _map_blocks(run, blocks, workers)
     return out
 
 
@@ -314,8 +316,7 @@ def _backward_block(pix, gout, coords, values):
     """
     n = coords.shape[1]
     n3 = n * n * n
-    e0, x0, x1, xd = _locate(coords, pix)
-    gap = x1 - x0
+    e0, gap, xd = _locate(coords, pix)
     flat = values.reshape(3, n3)
     base = _base_index(e0, n)
     wr, wg, wb = _weight_pairs(xd)
@@ -333,12 +334,10 @@ def _backward_block(pix, gout, coords, values):
     # axis pairs the other two axes' weights with the on-axis vertex delta
     off_axis_weights = {0: (wg, wb), 1: (wr, wb), 2: (wr, wg)}
 
-    def corner_pair(axis, u, v):
-        key_hi = [u, v]
-        key_hi.insert(axis, 1)
-        key_lo = [u, v]
-        key_lo.insert(axis, 0)
-        return gathered[tuple(key_hi)], gathered[tuple(key_lo)]
+    def corner(axis, side, u, v):
+        key = [u, v]
+        key.insert(axis, side)
+        return gathered[tuple(key)]
 
     grad_coords = np.zeros((3, n))
     grad_input = np.empty_like(pix)
@@ -347,7 +346,7 @@ def _backward_block(pix, gout, coords, values):
         g_axis = np.zeros(pix.shape[1])
         for u in (0, 1):
             for v in (0, 1):
-                hi, lo = corner_pair(axis, u, v)
+                hi, lo = corner(axis, 1, u, v), corner(axis, 0, u, v)
                 w_off = w_u[u] * w_v[v]
                 for c in range(3):
                     g_axis += gout[c] * (w_off * (hi[c] - lo[c]))
@@ -408,15 +407,9 @@ def transform_with_grads(
         grad_input[:, r0:r1, :] = gi.reshape(3, r1 - r0, w)
         return gv, gc
 
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(run, blocks))
-    else:
-        partials = [run(block) for block in blocks]
-
     grad_values = np.zeros((3, n * n * n))
     grad_coords = np.zeros((3, n))
-    for gv, gc in partials:
+    for gv, gc in _map_blocks(run, blocks, workers):
         grad_values += gv
         grad_coords += gc
     return out, LatticeGradients(

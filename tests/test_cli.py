@@ -188,16 +188,16 @@ class TestQuantizedApply:
 
 
 class TestZeroLengthRuns:
-    def assert_one_line_error(self, capsys):
+    def assert_one_line_error(self, capsys, expected):
         err = capsys.readouterr().err
-        assert err == "error: epochs must be at least 1, got 0\n"
+        assert err == expected
 
     def test_fit_zero_steps_exits_2(self, gamma_pair, tmp_path, capsys):
         assert cli_main(
             ["fit", "--input", str(gamma_pair[0]), "--target", str(gamma_pair[1]),
              "--nsize", "3", "--steps", "0", "--adaptive", "--out", str(tmp_path / "l.nulut")]
         ) == 2
-        self.assert_one_line_error(capsys)
+        self.assert_one_line_error(capsys, "error: --steps must be at least 1, got 0\n")
 
     def test_train_zero_epochs_exits_2(self, gamma_pair, tmp_path, capsys):
         manifest = tmp_path / "pairs.tsv"
@@ -206,7 +206,30 @@ class TestZeroLengthRuns:
             ["train", "--pairs-manifest", str(manifest), "--nsize", "3", "--m", "1",
              "--epochs", "0", "--out", str(tmp_path / "p.nulut")]
         ) == 2
-        self.assert_one_line_error(capsys)
+        self.assert_one_line_error(capsys, "error: epochs must be at least 1, got 0\n")
+
+
+class TestNegativeFreeze:
+    EXPECTED = "error: freeze_interval_epochs must lie in [0, epochs], got -1\n"
+
+    def test_fit_negative_freeze_exits_2(self, gamma_pair, tmp_path, capsys):
+        assert cli_main(
+            ["fit", "--input", str(gamma_pair[0]), "--target", str(gamma_pair[1]),
+             "--nsize", "3", "--steps", "4", "--adaptive", "--freeze", "-1",
+             "--out", str(tmp_path / "l.nulut")]
+        ) == 2
+        assert capsys.readouterr().err == self.EXPECTED
+        assert not (tmp_path / "l.nulut").exists()
+
+    def test_train_negative_freeze_exits_2(self, gamma_pair, tmp_path, capsys):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{gamma_pair[0]}\t{gamma_pair[1]}\n")
+        assert cli_main(
+            ["train", "--pairs-manifest", str(manifest), "--nsize", "3", "--m", "1",
+             "--epochs", "2", "--freeze", "-1", "--out", str(tmp_path / "p.nulut")]
+        ) == 2
+        assert capsys.readouterr().err == self.EXPECTED
+        assert not (tmp_path / "p.nulut").exists()
 
 
 class TestTrain:

@@ -198,6 +198,18 @@ class TestLattice:
         with pytest.raises(ValueError, match="non-monotone"):
             Lattice(coords, rng.random((3, 4, 4, 4)))
 
+    @pytest.mark.parametrize("channel, row, message", [
+        (0, [0.0, 0.6, 0.4, 1.0], "^coords r: non-monotone at index 2$"),
+        (1, [0.1, 0.3, 0.6, 1.0], "^coords g: first entry must be 0, got 0.1$"),
+        (2, [0.0, 0.3, 0.6, 0.9], "^coords b: last entry must be 1, got 0.9$"),
+        (1, [0.0, np.nan, 0.6, 1.0], "^coords g: entries must be finite$"),
+    ])
+    def test_coordinate_errors_name_the_channel(self, rng, channel, row, message):
+        coords = uniform_coordinates(4)
+        coords[channel] = row
+        with pytest.raises(ValueError, match=message):
+            Lattice(coords, rng.random((3, 4, 4, 4)))
+
     def test_rejects_non_finite_values(self):
         coords = uniform_coordinates(3)
         values = identity_lut(coords)

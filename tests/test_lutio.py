@@ -39,6 +39,33 @@ class TestLatticeRoundTrip:
         with pytest.raises(LutFormatError, match="non-monotone at index 2"):
             load_lattice(path)
 
+    @staticmethod
+    def write_size3(path, r="0 0.5 1", g="0 0.5 1", values=("0",) * 81):
+        path.write_text(
+            f"NULUT3D 1\nsize 3\ncoords r {r}\ncoords g {g}\ncoords b 0 0.5 1\n"
+            f"values\n{' '.join(values)}\n"
+        )
+
+    @pytest.mark.parametrize("r, g, message", [
+        ("0 0.5 1", "0 0.7 0.6", r"^coords g: last entry must be 1, got 0.6$"),
+        ("0.1 0.5 1", "0 0.5 1", r"^coords r: first entry must be 0, got 0.1$"),
+        ("0 nan 1", "0 0.5 1", r"^coords r: entries must be finite$"),
+    ])
+    def test_bad_coords_rejected_with_channel(self, tmp_path, r, g, message):
+        path = tmp_path / "bad.nulut"
+        self.write_size3(path, r=r, g=g)
+        with pytest.raises(LutFormatError, match=message):
+            load_lattice(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_values_rejected(self, tmp_path, bad):
+        path = tmp_path / "bad.nulut"
+        values = ["0.5"] * 81
+        values[40] = bad
+        self.write_size3(path, values=values)
+        with pytest.raises(LutFormatError, match="finite"):
+            load_lattice(path)
+
     def test_size_mismatch_rejected(self, tmp_path):
         path = tmp_path / "short.nulut"
         path.write_text(
@@ -139,6 +166,15 @@ class TestPredictorCheckpoint:
         assert loaded.shared == params.shared
         for name in ("g_weights", "g_bias", "h0_weights", "h0_bias", "basis_luts", "h1_bias"):
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
+
+    def test_basis_luts_are_stored_as_h1_weights(self, rng, tmp_path):
+        params = init_params(n_s=3, m=2, seed=1)
+        path = tmp_path / "ckpt.nulut"
+        save_lattice(random_lattice(rng, 3), path, predictor=params)
+        sections = [line for line in path.read_text().splitlines() if line[:1].isalpha()]
+        assert sections[-6:] == [
+            "g_weights", "g_bias", "h0_weights", "h0_bias", "h1_weights", "h1_bias",
+        ]
 
     def test_lattice_only_file_has_no_predictor(self, rng, tmp_path):
         path = tmp_path / "plain.nulut"

@@ -72,6 +72,16 @@ class TestWriteReadRoundTrip:
         assert back[0, 0, 0] == 1 / 255
         assert back[1, 0, 0] == 0.0
 
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_levels_are_floor_of_half_up_then_clipped(self, rng, tmp_path, maxval):
+        img = rng.uniform(-0.1, 1.1, size=(3, 7, 9))
+        img[0, 0, :3] = [0.5 / maxval, 1.5 / maxval, (maxval - 0.5) / maxval]
+        path = tmp_path / "levels.ppm"
+        write_image(img, path, maxval=maxval)
+        levels, _ = read_ppm(path, raw=True)
+        expected = np.clip(np.floor(img * maxval + 0.5), 0, maxval)
+        np.testing.assert_array_equal(levels, expected)
+
     def test_out_of_range_values_clip(self, tmp_path):
         img = np.zeros((3, 1, 2))
         img[0, 0, 0] = 1.7

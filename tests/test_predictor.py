@@ -1,3 +1,6 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from nulut.lattice import Lattice, coordinates_from_logits, uniform_coordinates
 from nulut.predictor import (
     FEATURE_DIM,
     HIST_BINS,
+    PARAM_ARRAYS,
     extract_features,
     init_params,
     predict_logits,
@@ -15,8 +19,6 @@ from nulut.training import (
     ImagePair,
     LossWeights,
     predictor_loss_and_grads,
-    _dict_to_params,
-    _params_to_dict,
 )
 from nulut.transform import transform_image
 from nulut.analysis import psnr
@@ -46,6 +48,19 @@ class TestExtractFeatures:
         img = np.ones((3, 2, 2))
         features = extract_features(img)
         assert features[HIST_BINS - 1] == 1.0
+
+    @pytest.mark.parametrize("bad, reason", [
+        (-0.5, r"lie in \[0, 1\]"), (1.5, r"lie in \[0, 1\]"),
+        (np.nan, "finite"), (np.inf, "finite"),
+    ])
+    def test_rejects_values_outside_unit_range(self, rng, bad, reason):
+        img = rng.random((3, 4, 4))
+        img[1, 2, 3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no cast warning on the way to the error
+            with pytest.raises(ValueError, match=reason) as info:
+                extract_features(img)
+        assert "\n" not in str(info.value)
 
     def test_means_and_stds(self, rng):
         img = rng.random((3, 5, 5))
@@ -160,11 +175,11 @@ class TestEndToEndGradients:
         (loss, *_), grads = predictor_loss_and_grads(params, pair, weights)
 
         def loss_at(pdict):
-            trial = _dict_to_params({k: v.copy() for k, v in pdict.items()}, params)
+            trial = replace(params, **{k: v.copy() for k, v in pdict.items()})
             (value, *_), _ = predictor_loss_and_grads(trial, pair, weights)
             return value
 
-        pdict = _params_to_dict(params)
+        pdict = {name: getattr(params, name) for name in PARAM_ARRAYS}
         h = 1e-6
         for name in grads:
             flat = pdict[name].ravel()

@@ -265,6 +265,30 @@ class TestFitDirect:
             TrainConfig(epochs=3, freeze_interval_epochs=5)
 
 
+class TestTrainConfigValidation:
+    def test_defaults_accepted(self):
+        TrainConfig()
+
+    def test_negative_freeze_rejected(self):
+        with pytest.raises(ValueError, match="freeze_interval_epochs must lie in"):
+            TrainConfig(epochs=3, freeze_interval_epochs=-1)
+
+    @pytest.mark.parametrize("field", ["adam_beta1", "adam_beta2"])
+    @pytest.mark.parametrize("beta", [1.0, 1.5, -0.1, float("nan")])
+    def test_beta_outside_unit_interval_rejected(self, field, beta):
+        with pytest.raises(ValueError, match=r"betas must lie in \[0, 1\)"):
+            TrainConfig(**{field: beta})
+
+    @pytest.mark.parametrize("field", ["adam_beta1", "adam_beta2"])
+    def test_beta_zero_accepted(self, field):
+        TrainConfig(**{field: 0.0})
+
+    @pytest.mark.parametrize("eps", [0.0, -1e-8, float("nan")])
+    def test_non_positive_eps_rejected(self, eps):
+        with pytest.raises(ValueError, match="adam_eps must be positive"):
+            TrainConfig(adam_eps=eps)
+
+
 class TestDirectParameterGradients:
     def test_full_pipeline_matches_finite_differences(self, rng):
         """Total-loss gradients w.r.t. logits and values on a 4x4 image."""
@@ -342,6 +366,36 @@ class TestTrainPredictorBasics:
         )
         assert np.array_equal(coords[0], coords[1])
         assert np.array_equal(coords[0], coords[2])
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_batch_of_copies_matches_single_pair(self, rng, shared):
+        """Averaging a batch of two identical pairs is exact: (g + g) / 2 == g."""
+        from nulut.training import train_predictor
+
+        img = rng.random((3, 8, 8))
+        pair = ImagePair(img, img**0.6)
+        config = TrainConfig(learning_rate=1e-2, epochs=6, freeze_interval_epochs=2)
+        single, h1 = train_predictor([pair], 3, 2, config, shared=shared)
+        batched, h2 = train_predictor([pair, pair], 3, 2, config, shared=shared, batch_size=2)
+        assert h1.shape == (6, 5)
+        assert np.array_equal(h1, h2)
+        for name in ("g_weights", "g_bias", "h0_weights", "h0_bias", "basis_luts", "h1_bias"):
+            assert np.array_equal(getattr(single, name), getattr(batched, name))
+
+    def test_divergence_raises(self, rng):
+        from nulut.training import train_predictor
+
+        img = rng.random((3, 4, 4))
+        pair = ImagePair(img, img**0.5)
+        config = TrainConfig(learning_rate=1e6, epochs=50, freeze_interval_epochs=0)
+        with pytest.raises(TrainingDivergedError, match="exceeded 1000x its initial value"):
+            train_predictor([pair, pair], 3, 2, config)
+
+    def test_empty_pairs_rejected(self):
+        from nulut.training import train_predictor
+
+        with pytest.raises(ValueError, match="at least one image pair"):
+            train_predictor([], 3, 1, TrainConfig(epochs=1, freeze_interval_epochs=0))
 
     def test_determinism(self, rng):
         from nulut.training import train_predictor
