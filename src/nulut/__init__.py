@@ -17,6 +17,7 @@ from .transform import (
     lookup_with_count,
     transform_image,
     transform_pixel,
+    transform_vjp,
     transform_with_grads,
     trilinear_weights,
 )

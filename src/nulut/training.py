@@ -33,7 +33,8 @@ from .predictor import (
     predict_values,
     predict_weights,
 )
-from .transform import transform_image, transform_with_grads
+# perfbench's tracer rebinds transform_image and transform_with_grads here by name
+from .transform import transform_image, transform_vjp, transform_with_grads  # noqa: F401
 
 
 class TrainingDivergedError(RuntimeError):
@@ -222,12 +223,14 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
 
     q is the softmax output the lattice's coordinates were built from.
     """
+    pred, backward = transform_vjp(pair.input, lattice)
+    l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
     # the prediction is not kept, so the backward below can reuse its memory
-    l_r, g_pred = reconstruction_loss_grad(transform_image(pair.input, lattice), pair.target)
+    del pred
     l_s, g_s = smoothness_loss_grad(lattice.values)
     l_m, g_m = monotonicity_loss_grad(lattice.values)
     loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
-    _, lat_grads = transform_with_grads(pair.input, g_pred, lattice)
+    lat_grads = backward(g_pred)
     g_table = lat_grads.grad_values + weights.lambda_s * g_s + weights.lambda_m * g_m
     g_logits = coordinate_logit_vjp(q, lat_grads.grad_coords)
     return (loss, l_r, l_s, l_m), g_table, g_logits
@@ -237,10 +240,10 @@ def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig,
               interval_names, adaptive: bool = True):
     """Adam over batches for config.epochs epochs: the schedule both regimes share.
 
-    loss_and_grads(params, pair) gives one pair's loss parts and gradient
-    dict, averaged over each batch.  interval_names stay frozen for the
-    warmup (for the whole run with adaptive=False), then train at the
-    decayed rate.  Returns the final parameters and the loss history.
+    loss_and_grads(params, item) gives one batch item's loss parts and
+    gradient dict, averaged over each batch.  interval_names stay frozen
+    for the warmup (for the whole run with adaptive=False), then train at
+    the decayed rate.  Returns the final parameters and the loss history.
     """
     if not batches:
         raise ValueError("at least one image pair is required")
@@ -252,11 +255,11 @@ def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig,
     for epoch in range(config.epochs):
         train_intervals = adaptive and epoch >= config.freeze_interval_epochs
         for batch in batches:
-            pair_parts, acc = loss_and_grads(params, batch[0])
-            parts = np.array(pair_parts)
-            for pair in batch[1:]:
-                pair_parts, grads = loss_and_grads(params, pair)
-                parts += pair_parts
+            item_parts, acc = loss_and_grads(params, batch[0])
+            parts = np.array(item_parts)
+            for item in batch[1:]:
+                item_parts, grads = loss_and_grads(params, item)
+                parts += item_parts
                 for name in acc:
                     acc[name] += grads[name]
             for name in acc:
@@ -323,7 +326,11 @@ def predictor_loss_and_grads(
     params: PredictorParams, pair: ImagePair, weights: LossWeights
 ):
     """Loss terms and gradients w.r.t. every head parameter for one pair."""
-    features = extract_features(pair.input)
+    return _predictor_loss_and_grads(params, pair, extract_features(pair.input), weights)
+
+
+def _predictor_loss_and_grads(params, pair, features, weights):
+    """predictor_loss_and_grads given the pair's input features."""
     lattice, q, blend = predictor_forward(features, params)
     parts, g_table, g_logits = _lattice_loss_and_grads(lattice, q, pair, weights)
     g_table = g_table.ravel()
@@ -360,10 +367,13 @@ def train_predictor(
         raise ValueError("batch_size must be >= 1")
     template = init_params(n_s, m, shared=shared, seed=config.seed)
 
-    def loss_and_grads(arrays, pair):
-        return predictor_loss_and_grads(replace(template, **arrays), pair, weights)
+    def loss_and_grads(arrays, item):
+        pair, features = item
+        return _predictor_loss_and_grads(replace(template, **arrays), pair, features, weights)
 
-    batches = [pairs[start : start + batch_size] for start in range(0, len(pairs), batch_size)]
+    # the inputs never change, so each pair's features are extracted once
+    items = [(pair, extract_features(pair.input)) for pair in pairs]
+    batches = [items[start : start + batch_size] for start in range(0, len(items), batch_size)]
     arrays, history = _optimize(
         {name: getattr(template, name) for name in PARAM_ARRAYS},
         loss_and_grads, batches, config, ("g_weights", "g_bias"),

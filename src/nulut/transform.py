@@ -15,7 +15,11 @@ is located in one of two ways:
 Both feed one blend core.  The backward path returns analytic gradients
 of the output with respect to the table values, the sampling
 coordinates, and the input colors, so the whole lattice, knot positions
-included, can be fitted by gradient descent.
+included, can be fitted by gradient descent.  transform_vjp is the
+training step's single pass: its forward locates each pixel's cell once
+and keeps only the located cells (low knot index, cell width and
+offset), and its backward computes every gradient from those same
+cells, so nothing is located or blended twice.
 
 Per-pixel work is independent, so images are processed in fixed blocks
 of CHUNK_ROWS rows; the forward-only transform also caps a block at
@@ -296,27 +300,29 @@ def transform_image(
 
 @dataclass
 class LatticeGradients:
-    """Gradients of a scalar loss w.r.t. the lattice and, optionally, the input.
+    """Gradients of a scalar loss w.r.t. the lattice and the input.
 
     grad_values matches the table shape, grad_coords the coordinate shape,
-    grad_input the image shape (None when not requested).
+    grad_input the input shape (the image, or the triple for
+    backward_pixel).
     """
 
     grad_values: np.ndarray
     grad_coords: np.ndarray
-    grad_input: np.ndarray | None = None
+    grad_input: np.ndarray
 
 
-def _backward_block(pix, gout, coords, values):
-    """Gradient contributions of one pixel block.
+def _backward_block(cells, gout, values):
+    """Gradient contributions of one pixel block located as cells.
 
-    Returns (grad_values_flat (3, n^3), grad_coords (3, n), grad_input
-    (3, p)).  Scatter order is fixed: corners in (i, j, k) order, pixels
-    in block order within each corner.
+    cells is _locate's (e0, gap, xd) for the block.  Returns
+    (grad_values_flat (3, n^3), grad_coords (3, n), grad_input (3, p)).
+    Scatter order is fixed: corners in (i, j, k) order, pixels in block
+    order within each corner.
     """
-    n = coords.shape[1]
+    e0, gap, xd = cells
+    n = values.shape[1]
     n3 = n * n * n
-    e0, gap, xd = _locate(coords, pix)
     flat = values.reshape(3, n3)
     base = _base_index(e0, n)
     wr, wg, wb = _weight_pairs(xd)
@@ -340,10 +346,10 @@ def _backward_block(pix, gout, coords, values):
         return gathered[tuple(key)]
 
     grad_coords = np.zeros((3, n))
-    grad_input = np.empty_like(pix)
+    grad_input = np.empty_like(xd)
     for axis in range(3):
         w_u, w_v = off_axis_weights[axis]
-        g_axis = np.zeros(pix.shape[1])
+        g_axis = np.zeros(xd.shape[1])
         for u in (0, 1):
             for v in (0, 1):
                 hi, lo = corner(axis, 1, u, v), corner(axis, 0, u, v)
@@ -367,11 +373,62 @@ def backward_pixel(pixel, lattice: Lattice, grad_out) -> LatticeGradients:
     g = np.asarray(grad_out, dtype=np.float64).reshape(-1)
     if g.shape != (3,):
         raise ValueError(f"grad_out must be a triple, got shape {np.shape(grad_out)}")
-    gv, gc, gi = _backward_block(
-        p.reshape(3, 1), g.reshape(3, 1), lattice.coords, lattice.values
-    )
+    cells = _locate(lattice.coords, p.reshape(3, 1))
+    gv, gc, gi = _backward_block(cells, g.reshape(3, 1), lattice.values)
     n = lattice.n_s
     return LatticeGradients(gv.reshape(3, n, n, n), gc, gi.reshape(3))
+
+
+def transform_vjp(img, lattice: Lattice, workers: int = 1):
+    """Forward transform of a float image, and a function for its backward.
+
+    Returns (out, backward).  The forward locates each pixel's cell once,
+    per CHUNK_ROWS-row block, and keeps only the located cells (e0, gap,
+    xd); backward(grad_output) turns the loss gradient w.r.t. out into
+    LatticeGradients from those same cells.  Table and coordinate
+    gradients are accumulated into per-block buffers that are reduced in
+    block order, so the result does not depend on the number of workers.
+    """
+    a = _validate_image(img)
+    coords, values = lattice.coords, lattice.values
+    n = lattice.n_s
+    flat = values.reshape(3, n * n * n)
+    h, w = a.shape[1], a.shape[2]
+    out = np.empty_like(a)
+    blocks = _row_blocks(h)
+
+    def forward(block):
+        r0, r1 = block
+        e0, gap, xd = _locate(coords, a[:, r0:r1, :].reshape(3, -1))
+        res = _blend(flat, n, _base_index(e0, n), *_weight_pairs(xd))
+        out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
+        return e0, gap, xd
+
+    located = list(zip(blocks, _map_blocks(forward, blocks, workers)))
+
+    def backward(grad_output) -> LatticeGradients:
+        g = np.asarray(grad_output, dtype=np.float64)
+        if g.shape != a.shape:
+            raise ValueError(f"grad_output shape {g.shape} does not match image {a.shape}")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("grad_output must be finite")
+        grad_input = np.empty_like(a)
+
+        def run(item):
+            (r0, r1), cells = item
+            gout = g[:, r0:r1, :].reshape(3, -1)
+            gv, gc, gi = _backward_block(cells, gout, values)
+            grad_input[:, r0:r1, :] = gi.reshape(3, r1 - r0, w)
+            return gv, gc
+
+        grad_values = np.zeros((3, n * n * n))
+        grad_coords = np.zeros((3, n))
+        for gv, gc in _map_blocks(run, located, workers):
+            grad_values += gv
+            grad_coords += gc
+        return LatticeGradients(grad_values.reshape(3, n, n, n), grad_coords, grad_input)
+
+    return out, backward
 
 
 def transform_with_grads(
@@ -379,39 +436,8 @@ def transform_with_grads(
 ) -> tuple[np.ndarray, LatticeGradients]:
     """Forward transform plus summed per-pixel gradient contributions.
 
-    grad_output is the loss gradient w.r.t. the transformed image.  Table
-    and coordinate gradients are accumulated into per-block buffers that
-    are reduced in block order, so the result does not depend on the
-    number of workers.
+    grad_output is the loss gradient w.r.t. the transformed image; see
+    transform_vjp, which this runs forward and then backward.
     """
-    a = _validate_image(img)
-    g = np.asarray(grad_output, dtype=np.float64)
-    if g.shape != a.shape:
-        raise ValueError(f"grad_output shape {g.shape} does not match image {a.shape}")
-    if not np.all(np.isfinite(g)):
-        raise ValueError("grad_output must be finite")
-    coords, values = lattice.coords, lattice.values
-    n = lattice.n_s
-    h, w = a.shape[1], a.shape[2]
-    out = np.empty_like(a)
-    grad_input = np.empty_like(a)
-    blocks = _row_blocks(h)
-
-    def run(block):
-        r0, r1 = block
-        pix = a[:, r0:r1, :].reshape(3, -1)
-        gout = g[:, r0:r1, :].reshape(3, -1)
-        res = _transform_block(pix, coords, values)
-        out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
-        gv, gc, gi = _backward_block(pix, gout, coords, values)
-        grad_input[:, r0:r1, :] = gi.reshape(3, r1 - r0, w)
-        return gv, gc
-
-    grad_values = np.zeros((3, n * n * n))
-    grad_coords = np.zeros((3, n))
-    for gv, gc in _map_blocks(run, blocks, workers):
-        grad_values += gv
-        grad_coords += gc
-    return out, LatticeGradients(
-        grad_values.reshape(3, n, n, n), grad_coords, grad_input
-    )
+    out, backward = transform_vjp(img, lattice, workers)
+    return out, backward(grad_output)

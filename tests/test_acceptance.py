@@ -333,18 +333,23 @@ class TestCriterion7LookupComplexityAndScaling:
         small = rng.random((3, 1250, 1600))  # 2M pixels
         large = rng.random((3, 2500, 3200))  # 8M pixels
 
-        def per_pixel_ns(img):
-            transform_image(img, lattice)  # warm pages and allocator
-            times = []
-            for _ in range(5):
-                t0 = time.perf_counter()
-                transform_image(img, lattice)
-                times.append(time.perf_counter() - t0)
-            # min over repeats: the least noise-inflated estimate of true cost
-            return float(np.min(times)) * 1e9 / (img.shape[1] * img.shape[2])
+        def seconds(img):
+            t0 = time.perf_counter()
+            transform_image(img, lattice)
+            return time.perf_counter() - t0
 
-        cost_small = per_pixel_ns(small)
-        cost_large = per_pixel_ns(large)
+        # warm pages and allocator for both sizes, then alternate them in
+        # every repeat, so host drift slows both alike instead of looking
+        # like a size effect
+        seconds(small)
+        seconds(large)
+        small_runs, large_runs = [], []
+        for _ in range(5):
+            small_runs.append(seconds(small))
+            large_runs.append(seconds(large))
+        # min over repeats: the least noise-inflated estimate of true cost
+        cost_small = min(small_runs) * 1e9 / small[0].size
+        cost_large = min(large_runs) * 1e9 / large[0].size
         ratio = cost_large / cost_small
         scaling_ok = abs(ratio - 1.0) <= 0.20
         elapsed = time.perf_counter() - start

@@ -2,14 +2,31 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import queries_off_knots, random_lattice
 
-from nulut.lattice import Lattice, identity_lut
+from nulut.lattice import (
+    Lattice,
+    coordinate_logit_vjp,
+    identity_lut,
+    intervals_to_coordinates,
+    softmax_normalize,
+)
+from nulut.training import (
+    ImagePair,
+    LossWeights,
+    _lattice_loss_and_grads,
+    monotonicity_loss_grad,
+    reconstruction_loss_grad,
+    smoothness_loss_grad,
+)
 from nulut.transform import (
     _transform_block,
     backward_pixel,
     transform_image,
+    transform_vjp,
     transform_with_grads,
 )
 
@@ -170,3 +187,86 @@ class TestTransformWithGrads:
         img = rng.random((3, 20, 6))
         out, _ = transform_with_grads(img, np.zeros_like(img), lattice)
         assert np.array_equal(out, transform_image(img, lattice))
+
+    def test_backward_reruns_and_checks_grad_output(self, rng):
+        lattice = random_lattice(rng, 4)
+        img = rng.random((3, 70, 3))
+        grad_out = rng.normal(size=img.shape)
+        out, backward = transform_vjp(img, lattice)
+        first, second = backward(grad_out), backward(grad_out)
+        assert np.array_equal(out, transform_image(img, lattice))
+        assert np.array_equal(first.grad_values, second.grad_values)
+        assert np.array_equal(first.grad_coords, second.grad_coords)
+        assert np.array_equal(first.grad_input, second.grad_input)
+        with pytest.raises(ValueError, match="does not match image"):
+            backward(grad_out[:, :-1])
+        bad = grad_out.copy()
+        bad[0, 5, 1] = np.nan
+        with pytest.raises(ValueError, match="grad_output must be finite"):
+            backward(bad)
+
+
+# images from 1 to 130 rows cross the CHUNK_ROWS = 64 block edge
+PROPERTY_SETTINGS = settings(max_examples=40, derandomize=True, deadline=None)
+CASES = st.tuples(
+    st.integers(2, 9),  # n
+    st.integers(1, 130),  # h
+    st.integers(1, 8),  # w
+    st.integers(0, 2**32 - 1),  # seed for the arrays
+)
+
+
+def drawn_case(n, h, w, seed):
+    """Softmax intervals q, their lattice, and an image with some entries
+    at 0, at 1 and exactly on the knots of their own channel."""
+    rng = np.random.default_rng(seed)
+    q = softmax_normalize(rng.uniform(-2.0, 2.0, size=(3, n - 1)))
+    coords = intervals_to_coordinates(q)
+    values = identity_lut(coords) + rng.normal(0.0, 0.2, size=(3, n, n, n))
+    img = rng.random((3, h, w))
+    kind = rng.integers(0, 4, size=img.shape)
+    img[kind == 1] = 0.0
+    img[kind == 2] = 1.0
+    knots = np.take_along_axis(
+        coords, rng.integers(0, n, size=(3, h * w)), axis=1
+    ).reshape(img.shape)
+    img[kind == 3] = knots[kind == 3]
+    return q, Lattice(coords, values), img
+
+
+def separate_passes(lattice, q, pair, weights):
+    """The training step as separate forward and forward-plus-backward passes."""
+    l_r, g_pred = reconstruction_loss_grad(transform_image(pair.input, lattice), pair.target)
+    l_s, g_s = smoothness_loss_grad(lattice.values)
+    l_m, g_m = monotonicity_loss_grad(lattice.values)
+    loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
+    _, lat_grads = transform_with_grads(pair.input, g_pred, lattice)
+    g_table = lat_grads.grad_values + weights.lambda_s * g_s + weights.lambda_m * g_m
+    g_logits = coordinate_logit_vjp(q, lat_grads.grad_coords)
+    return (loss, l_r, l_s, l_m), g_table, g_logits
+
+
+class TestLocatedOnceProperties:
+    @PROPERTY_SETTINGS
+    @given(CASES)
+    def test_training_core_matches_separate_passes(self, case):
+        q, lattice, img = drawn_case(*case)
+        pair = ImagePair(img, np.sqrt(img))
+        weights = LossWeights(lambda_s=0.01, lambda_m=1.0)
+        parts, g_table, g_logits = _lattice_loss_and_grads(lattice, q, pair, weights)
+        ref_parts, ref_table, ref_logits = separate_passes(lattice, q, pair, weights)
+        assert parts == ref_parts
+        assert g_table.tobytes() == ref_table.tobytes()
+        assert g_logits.tobytes() == ref_logits.tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(CASES)
+    def test_workers_give_the_same_bytes(self, case):
+        _, lattice, img = drawn_case(*case)
+        grad_out = np.random.default_rng(case[3]).normal(size=img.shape)
+        out1, grads1 = transform_with_grads(img, grad_out, lattice, workers=1)
+        out2, grads2 = transform_with_grads(img, grad_out, lattice, workers=2)
+        assert out1.tobytes() == transform_image(img, lattice).tobytes()
+        assert out2.tobytes() == out1.tobytes()
+        for name in ("grad_values", "grad_coords", "grad_input"):
+            assert getattr(grads2, name).tobytes() == getattr(grads1, name).tobytes()
