@@ -2,12 +2,14 @@
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors (bad
 files, invalid values, diverged training).  All randomness is controlled
-by --seed.
+by --seed.  apply transforms on every CPU the process may use; its
+output bytes do not depend on that count.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -137,13 +139,21 @@ def _cmd_fit(args) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _cmd_apply(args) -> int:
     lattice, predictor = lutio.load_checkpoint(args.lut)
     samples, maxval = ppm.read_ppm(args.input, raw=True)
     if predictor is not None:
         lattice = _predicted_lattice(samples.astype(np.float64) / maxval, predictor)
-    # write_image rounds and clips to [0, maxval], so no clip to [0, 1] here
-    out = transform_image(samples, lattice, maxval=maxval)
+    # write_image rounds and clips to [0, maxval], so no clip to [0, 1] here;
+    # transform_image's bytes do not depend on the worker count
+    out = transform_image(samples, lattice, workers=_usable_cpus(), maxval=maxval)
     ppm.write_image(out, args.output, maxval=maxval)
     print(f"apply: wrote {args.output}")
     return 0

@@ -1,16 +1,22 @@
-"""Binary PPM (P6) reading and writing at 8 and 16 bits per sample.
+"""Binary PPM (P6) reading and writing at any maxval from 1 to 65535.
 
 Samples map to [0, 1] as value / maxval on read, or stay integers on
-request; writing rounds half up and clips.  16-bit samples are big
-endian as the format requires.  Parse failures report the byte offset
-where the reader gave up.
+request; writing rounds half up and clips.  As the format requires, a
+sample takes one byte when maxval is below 256 and two big-endian bytes
+otherwise.  Parse failures report the byte offset where the reader gave
+up.  Writing rounds in row blocks of about CHUNK_PIXELS pixels straight
+into the output raster, so its temporaries stay cache-sized on large
+frames.  It runs on one thread even when `nulut apply` transforms on
+every usable CPU; the bytes written depend on neither count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-SUPPORTED_MAXVALS = (255, 65535)
+from .transform import CHUNK_PIXELS
+
+MAX_MAXVAL = 65535
 
 
 class PpmParseError(ValueError):
@@ -42,12 +48,17 @@ def _read_int(data, pos, what):
     return int(data[start:pos]), pos
 
 
+def _sample_dtype(maxval):
+    return np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+
+
 def read_ppm(path, raw: bool = False) -> tuple[np.ndarray, int]:
     """Read a P6 file, returning the (3, h, w) image and its maxval.
 
     The image holds floats sample / maxval in [0, 1], or with raw=True
-    the samples themselves as native-endian uint8 (maxval 255) or uint16
-    (maxval 65535), ready for transform_image(..., maxval=maxval).
+    the samples themselves as native-endian uint8 (maxval below 256) or
+    uint16, ready for transform_image(..., maxval=maxval).  A sample
+    above maxval raises PpmParseError.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -59,12 +70,12 @@ def read_ppm(path, raw: bool = False) -> tuple[np.ndarray, int]:
     maxval, pos = _read_int(data, pos, "maxval")
     if width < 1 or height < 1:
         raise PpmParseError(f"bad dimensions {width}x{height}", pos)
-    if maxval not in SUPPORTED_MAXVALS:
+    if not 1 <= maxval <= MAX_MAXVAL:
         raise PpmParseError(f"unsupported maxval {maxval}", pos)
     if pos >= len(data) or not data[pos : pos + 1].isspace():
         raise PpmParseError("expected single whitespace after maxval", pos)
     pos += 1
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
+    dtype = _sample_dtype(maxval)
     expected = width * height * 3 * dtype.itemsize
     payload = data[pos : pos + expected]
     if len(payload) < expected:
@@ -73,6 +84,12 @@ def read_ppm(path, raw: bool = False) -> tuple[np.ndarray, int]:
             pos + len(payload),
         )
     raster = np.frombuffer(payload, dtype=dtype).reshape(height, width, 3)
+    if maxval < np.iinfo(dtype).max and raster.max() > maxval:
+        first = int(np.argmax(raster.reshape(-1) > maxval))
+        raise PpmParseError(
+            f"sample {raster.reshape(-1)[first]} exceeds maxval {maxval}",
+            pos + first * dtype.itemsize,
+        )
     if raw:
         return raster.astype(dtype.newbyteorder("=")).transpose(2, 0, 1), maxval
     return raster.astype(np.float64).transpose(2, 0, 1) / maxval, maxval
@@ -84,19 +101,32 @@ def read_image(path) -> np.ndarray:
 
 
 def write_image(img, path, maxval: int = 255) -> None:
-    """Write a normalized image as P6, rounding half up and clipping."""
-    if maxval not in SUPPORTED_MAXVALS:
+    """Write a normalized image as P6, rounding half up and clipping.
+
+    Each sample is clip(floor(x * maxval + 0.5), 0, maxval), computed in
+    row blocks straight into the output raster.
+    """
+    if (isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer))
+            or not 1 <= maxval <= MAX_MAXVAL):
         raise ValueError(f"unsupported maxval {maxval}")
     a = np.asarray(img, dtype=np.float64)
     if a.ndim != 3 or a.shape[0] != 3:
         raise ValueError(f"image must have shape (3, h, w), got {a.shape}")
-    levels = a * maxval
-    levels += 0.5
-    np.floor(levels, out=levels)
-    np.clip(levels, 0, maxval, out=levels)
-    dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
-    raster = levels.transpose(1, 2, 0).astype(dtype)
-    header = f"P6\n{a.shape[2]} {a.shape[1]}\n{maxval}\n".encode("ascii")
+    h, w = a.shape[1], a.shape[2]
+    raster = np.empty((h, w, 3), dtype=_sample_dtype(maxval))
+    rows = max(1, CHUNK_PIXELS // max(w, 1))
+    buf = np.empty((min(rows, h), w, 3))
+    for r0 in range(0, h, rows):
+        r1 = min(r0 + rows, h)
+        # the first pass reads the planes across into raster order, so the
+        # rest of the block's passes and its cast run on contiguous memory
+        levels = buf[: r1 - r0]
+        np.multiply(a[:, r0:r1].transpose(1, 2, 0), maxval, out=levels)
+        levels += 0.5
+        np.floor(levels, out=levels)
+        np.clip(levels, 0, maxval, out=levels)
+        raster[r0:r1] = levels
+    header = f"P6\n{w} {h}\n{maxval}\n".encode("ascii")
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(raster.tobytes())

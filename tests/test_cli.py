@@ -1,17 +1,18 @@
 import dataclasses
+import os
 
 import numpy as np
 import pytest
 
 from conftest import random_lattice
 
-from nulut import ppm
+from nulut import cli, ppm
 from nulut.cli import cli_main
 from nulut.lattice import Lattice, coordinates_from_logits, identity_lut, uniform_coordinates
 from nulut.lutio import load_checkpoint, load_lattice, save_lattice
 from nulut.ppm import read_image, write_image
 from nulut.predictor import extract_features, init_params, predict_logits, predict_values
-from nulut.transform import transform_image
+from nulut.transform import CHUNK_PIXELS, transform_image
 from nulut.analysis import psnr
 
 
@@ -141,11 +142,8 @@ class TestQuantizedApply:
         out = transform_image(img, lattice)
         write_image(np.clip(out, 0.0, 1.0), output_path, maxval=maxval)
 
-    @pytest.mark.parametrize("maxval", [255, 65535])
-    @pytest.mark.parametrize("with_predictor", [False, True])
-    def test_bytes_match_float_route(self, rng, tmp_path, capsys, maxval, with_predictor):
-        input_path = tmp_path / "in.ppm"
-        write_image(rng.random((3, 70, 11)), input_path, maxval=maxval)
+    @staticmethod
+    def save_look(rng, lut_path, with_predictor):
         lattice = random_lattice(rng, 5, logit_scale=2.0)
         predictor = None
         if with_predictor:
@@ -153,13 +151,57 @@ class TestQuantizedApply:
             predictor = dataclasses.replace(
                 params, g_weights=rng.normal(size=params.g_weights.shape)
             )
-        lut_path = tmp_path / "look.nulut"
         save_lattice(lattice, lut_path, predictor=predictor)
+
+    @pytest.mark.parametrize("maxval", [255, 65535, 1023])
+    @pytest.mark.parametrize("with_predictor", [False, True])
+    def test_bytes_match_float_route(self, rng, tmp_path, capsys, maxval, with_predictor):
+        input_path = tmp_path / "in.ppm"
+        write_image(rng.random((3, 70, 11)), input_path, maxval=maxval)
+        lut_path = tmp_path / "look.nulut"
+        self.save_look(rng, lut_path, with_predictor)
         out_path = tmp_path / "out.ppm"
         assert cli_main(["apply", "--lut", str(lut_path), "--input", str(input_path),
                          "--output", str(out_path)]) == 0
         self.float_route(lut_path, input_path, tmp_path / "ref.ppm")
         assert out_path.read_bytes() == (tmp_path / "ref.ppm").read_bytes()
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("with_predictor", [False, True])
+    def test_bytes_do_not_depend_on_cpu_count(
+        self, rng, tmp_path, capsys, monkeypatch, maxval, with_predictor
+    ):
+        h, w = 200, 1100
+        assert h > 3 * (CHUNK_PIXELS // w)  # the transform runs many row blocks
+        input_path = tmp_path / "in.ppm"
+        write_image(rng.random((3, h, w)), input_path, maxval=maxval)
+        lut_path = tmp_path / "look.nulut"
+        self.save_look(rng, lut_path, with_predictor)
+        workers_seen = []
+
+        def spy(*args, **kwargs):
+            workers_seen.append(kwargs["workers"])
+            return transform_image(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "transform_image", spy)
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            out_path = tmp_path / f"out{cpus}.ppm"
+            assert cli_main(["apply", "--lut", str(lut_path), "--input", str(input_path),
+                             "--output", str(out_path)]) == 0
+            outputs.append(out_path.read_bytes())
+        assert workers_seen == [1, 3]
+        assert outputs[0] == outputs[1]
+
+    def test_usable_cpus(self, monkeypatch):
+        if hasattr(os, "sched_getaffinity"):
+            assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 5)
+        assert cli._usable_cpus() == 5
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert cli._usable_cpus() == 1
 
     def test_out_of_range_table_values_clip_at_write(self, rng, tmp_path, capsys):
         input_path = tmp_path / "in.ppm"
@@ -184,6 +226,19 @@ class TestQuantizedApply:
         assert cli_main(["apply", "--lut", str(lut_path), "--input", "in.ppm",
                          "--output", str(tmp_path / "o.ppm")]) == 2
         assert capsys.readouterr().err == "error: quantized samples must lie in [0, 255]\n"
+        assert not (tmp_path / "o.ppm").exists()
+
+    def test_sample_above_maxval_in_file_exits_2(self, rng, tmp_path, capsys):
+        lut_path = tmp_path / "l.nulut"
+        save_lattice(random_lattice(rng, 3), lut_path)
+        input_path = tmp_path / "in.ppm"
+        header = b"P6\n1 1\n1023\n"
+        input_path.write_bytes(header + bytes([0x03, 0xFF, 0x04, 0x00, 0, 0]))
+        assert cli_main(["apply", "--lut", str(lut_path), "--input", str(input_path),
+                         "--output", str(tmp_path / "o.ppm")]) == 2
+        assert capsys.readouterr().err == (
+            f"error: sample 1024 exceeds maxval 1023 (at byte {len(header) + 2})\n"
+        )
         assert not (tmp_path / "o.ppm").exists()
 
 

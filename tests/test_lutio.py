@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_lattice
 
-from nulut.lattice import Lattice, identity_lut, uniform_coordinates
+from nulut.lattice import Lattice, coordinates_from_logits, identity_lut, uniform_coordinates
 from nulut.lutio import (
     LutFormatError,
     export_cube,
@@ -11,7 +15,7 @@ from nulut.lutio import (
     load_lattice,
     save_lattice,
 )
-from nulut.predictor import init_params
+from nulut.predictor import PARAM_ARRAYS, init_params
 from nulut.transform import transform_pixel
 
 
@@ -266,3 +270,56 @@ class TestExportCube:
     def test_rejects_tiny_size(self, rng, tmp_path):
         with pytest.raises(ValueError):
             export_cube(random_lattice(rng, 3), 1, tmp_path / "x.cube")
+
+
+# entries a 17-digit text format must carry exactly: signed zero, the
+# smallest subnormals, a mid-range subnormal, values outside [0, 1], the
+# double just below 1 and values far from 1 in magnitude
+SPECIAL_VALUES = np.array([
+    -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, -1.5, 1.7,
+    1.0 - 2.0**-53, 0.1, 1e300, -1e-300,
+])
+
+
+def with_specials(rng, arr):
+    """A copy of arr with about a quarter of its entries replaced by specials."""
+    out = np.array(arr, dtype=np.float64)
+    hit = rng.random(out.shape) < 0.25
+    out[hit] = rng.choice(SPECIAL_VALUES, size=int(hit.sum()))
+    return out
+
+
+class TestCheckpointProperties:
+    @settings(max_examples=40, derandomize=True, deadline=None)
+    @given(
+        n_s=st.integers(2, 6),
+        predictor=st.sampled_from([None, "full", "shared"]),
+        m=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_save_load_is_value_exact(self, tmp_path_factory, n_s, predictor, m, seed):
+        rng = np.random.default_rng(seed)
+        coords = coordinates_from_logits(rng.uniform(-3.0, 3.0, size=(3, n_s - 1)))
+        if n_s > 2:
+            coords[0, 1] = 5e-324  # a subnormal first interval is still increasing
+        lattice = Lattice(coords, with_specials(rng, rng.random((3, n_s, n_s, n_s))))
+        params = None
+        if predictor is not None:
+            params = init_params(n_s=n_s, m=m, shared=predictor == "shared")
+            params = dataclasses.replace(params, **{
+                name: with_specials(rng, rng.normal(size=np.shape(getattr(params, name))))
+                for name in PARAM_ARRAYS
+            })
+        path = tmp_path_factory.getbasetemp() / "property.nulut"
+        save_lattice(lattice, path, predictor=params)
+        loaded_lattice, loaded = load_checkpoint(path)
+        assert loaded_lattice.coords.tobytes() == lattice.coords.tobytes()
+        assert loaded_lattice.values.tobytes() == lattice.values.tobytes()
+        if params is None:
+            assert loaded is None
+            return
+        assert (loaded.n_s, loaded.m, loaded.f_dim, loaded.shared) == (
+            params.n_s, params.m, params.f_dim, params.shared
+        )
+        for name in PARAM_ARRAYS:
+            assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes(), name

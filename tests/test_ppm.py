@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from nulut.ppm import PpmParseError, read_image, read_ppm, write_image
+from nulut.transform import CHUNK_PIXELS
 
 
 class TestRead:
@@ -33,8 +34,23 @@ class TestRead:
 
     def test_unsupported_maxval(self, tmp_path):
         path = tmp_path / "m.ppm"
-        path.write_bytes(b"P6\n1 1\n1023\n" + bytes(6))
-        with pytest.raises(PpmParseError, match="maxval 1023"):
+        for maxval in (0, 65536):
+            path.write_bytes(f"P6\n1 1\n{maxval}\n".encode("ascii") + bytes(6))
+            with pytest.raises(PpmParseError, match=f"unsupported maxval {maxval} "):
+                read_ppm(path)
+
+    @pytest.mark.parametrize("maxval,sample_bytes,offset", [
+        (100, bytes([0, 100, 0, 0, 0, 101]), 5),
+        (1023, bytes([0, 0, 0x03, 0xFF, 0, 0, 0, 0, 0x04, 0x00, 0, 0]), 8),
+    ], ids=["8bit", "16bit"])
+    def test_sample_above_maxval_reports_offset(self, tmp_path, maxval, sample_bytes, offset):
+        header = f"P6\n2 1\n{maxval}\n".encode("ascii")
+        path = tmp_path / "over.ppm"
+        path.write_bytes(header + sample_bytes)
+        with pytest.raises(PpmParseError, match=f"exceeds maxval {maxval} "
+                           rf"\(at byte {len(header) + offset}\)"):
+            read_ppm(path, raw=True)
+        with pytest.raises(PpmParseError):
             read_ppm(path)
 
     def test_truncated_payload_reports_offset(self, tmp_path):
@@ -51,7 +67,7 @@ class TestRead:
 
 
 class TestWriteReadRoundTrip:
-    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("maxval", [1, 100, 255, 1023, 4095, 65535])
     def test_quantized_round_trip(self, rng, tmp_path, maxval):
         # start from exactly representable levels so the trip is lossless
         levels = rng.integers(0, maxval + 1, size=(3, 7, 5))
@@ -72,9 +88,19 @@ class TestWriteReadRoundTrip:
         assert back[0, 0, 0] == 1 / 255
         assert back[1, 0, 0] == 0.0
 
-    @pytest.mark.parametrize("maxval", [255, 65535])
-    def test_levels_are_floor_of_half_up_then_clipped(self, rng, tmp_path, maxval):
-        img = rng.uniform(-0.1, 1.1, size=(3, 7, 9))
+    @pytest.mark.parametrize("maxval,shape", [
+        pytest.param(maxval, shape, id=f"{maxval}{suffix}")
+        for suffix, shape in [
+            ("", (7, 9)),
+            # wider than CHUNK_PIXELS: blocks of one row
+            ("-wide", (3, CHUNK_PIXELS + 5)),
+            # 32-row blocks and a last block of 11 rows
+            ("-ragged", (75, CHUNK_PIXELS // 32)),
+        ]
+        for maxval in (255, 65535)
+    ])
+    def test_levels_are_floor_of_half_up_then_clipped(self, rng, tmp_path, maxval, shape):
+        img = rng.uniform(-0.1, 1.1, size=(3, *shape))
         img[0, 0, :3] = [0.5 / maxval, 1.5 / maxval, (maxval - 0.5) / maxval]
         path = tmp_path / "levels.ppm"
         write_image(img, path, maxval=maxval)
@@ -93,12 +119,25 @@ class TestWriteReadRoundTrip:
         assert back[1, 0, 1] == 0.0
 
     def test_write_rejects_bad_maxval(self, rng, tmp_path):
-        with pytest.raises(ValueError):
-            write_image(rng.random((3, 2, 2)), tmp_path / "x.ppm", maxval=1000)
+        for maxval in (0, 65536, 255.0, True):
+            with pytest.raises(ValueError, match="unsupported maxval"):
+                write_image(rng.random((3, 2, 2)), tmp_path / "x.ppm", maxval=maxval)
+        assert not (tmp_path / "x.ppm").exists()
+
+    @pytest.mark.parametrize("maxval,width", [(1, 1), (255, 1), (256, 2), (65535, 2)])
+    def test_sample_width_follows_maxval(self, rng, tmp_path, maxval, width):
+        path = tmp_path / "w.ppm"
+        write_image(rng.random((3, 4, 5)), path, maxval=maxval)
+        header = f"P6\n5 4\n{maxval}\n".encode("ascii")
+        data = path.read_bytes()
+        assert data.startswith(header)
+        assert len(data) == len(header) + 4 * 5 * 3 * width
 
 
 class TestRawSamples:
-    @pytest.mark.parametrize("maxval,dtype", [(255, np.uint8), (65535, np.uint16)])
+    @pytest.mark.parametrize("maxval,dtype", [
+        (255, np.uint8), (65535, np.uint16), (100, np.uint8), (1023, np.uint16),
+    ])
     def test_raw_samples_scale_to_the_float_image(self, rng, tmp_path, maxval, dtype):
         path = tmp_path / "raw.ppm"
         write_image(rng.random((3, 7, 5)), path, maxval=maxval)
