@@ -18,7 +18,8 @@ DEFAULT_BINS = 1000
 _CHANNELS = ("r", "g", "b")
 
 
-def _check_pair(x, y):
+def check_pair(x, y):
+    """Two images as float64 arrays of one (3, h, w) shape, or ValueError."""
     a = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
     if a.shape != b.shape:
@@ -30,7 +31,7 @@ def _check_pair(x, y):
 
 def error_map(x, y) -> np.ndarray:
     """Elementwise squared difference between two images."""
-    a, b = _check_pair(x, y)
+    a, b = check_pair(x, y)
     d = a - b
     return d * d
 
@@ -61,7 +62,7 @@ def bin_indices(values: np.ndarray, n_bin: int) -> np.ndarray:
 
 def accumulative_error_histogram(x, y, n_bin: int = DEFAULT_BINS) -> ErrorHistogram:
     """Bin the squared error by input value, per channel, and accumulate."""
-    a, b = _check_pair(x, y)
+    a, b = check_pair(x, y)
     if n_bin < 1:
         raise ValueError(f"n_bin must be >= 1, got {n_bin}")
     d = error_map(a, b)

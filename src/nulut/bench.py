@@ -72,6 +72,8 @@ def run_bench(
     """Time the transform on random images of the given (width, height) sizes."""
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
+    if threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     rng = np.random.default_rng(seed)
     coords = coordinates_from_logits(rng.uniform(-1.0, 1.0, size=(3, n_s - 1)))
     values = identity_lut(coords) + rng.normal(0.0, 0.02, size=(3, n_s, n_s, n_s))

@@ -21,11 +21,13 @@ doubles exactly.  Loading re-validates every lattice invariant.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .lattice import Lattice
 from .predictor import PARAM_ARRAYS, PredictorParams, param_shapes
-from .transform import _transform_block
+from .transform import transform_image
 
 FORMAT_MAGIC = "NULUT3D"
 FORMAT_VERSION = 1
@@ -88,6 +90,8 @@ class _Tokens:
             raise LutFormatError(f"expected integer {what}, found '{tok}'") from None
 
     def take_floats(self, count, what):
+        # the slice holds at most the tokens left, so a count larger than
+        # the file allocates nothing before it is reported
         chunk = self.tokens[self.pos : self.pos + count]
         if len(chunk) == count:
             try:
@@ -97,15 +101,17 @@ class _Tokens:
             else:
                 self.pos += count
                 return out
-        out = np.empty(count)
-        for i in range(count):
-            tok = self.next(f"{what} value {i}")
+        out = np.empty(len(chunk))
+        for i, tok in enumerate(chunk):
             try:
                 out[i] = float(tok)
             except ValueError:
                 raise LutFormatError(
                     f"expected float in {what}, found '{tok}'"
                 ) from None
+        if len(chunk) < count:
+            raise LutFormatError(f"unexpected end of file, expected {what} value {len(chunk)}")
+        self.pos += count
         return out
 
     def done(self):
@@ -126,11 +132,12 @@ def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
     n = toks.take_int("lattice size")
     if n < 2:
         raise LutFormatError(f"lattice size must be >= 2, got {n}")
-    coords = np.empty((3, n))
-    for c, name in enumerate("rgb"):
+    rows = []
+    for name in "rgb":
         toks.expect("coords")
         toks.expect(name)
-        coords[c] = toks.take_floats(n, f"coords {name}")
+        rows.append(toks.take_floats(n, f"coords {name}"))
+    coords = np.array(rows)
     toks.expect("values")
     values = toks.take_floats(3 * n**3, "values").reshape(3, n, n, n)
     try:
@@ -144,13 +151,16 @@ def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
         f_dim = toks.take_int("feature dimension")
         m = toks.take_int("basis count")
         shared = toks.take_int("shared flag")
+        if f_dim < 1 or m < 1:
+            raise LutFormatError(f"predictor f_dim and m must be >= 1, got f_dim={f_dim}, m={m}")
         if shared not in (0, 1):
             raise LutFormatError(f"shared flag must be 0 or 1, got {shared}")
         arrays = {}
         for name, shape in param_shapes(n, m, f_dim, bool(shared)).items():
             section = _FILE_NAMES.get(name, name)
             toks.expect(section)
-            arrays[name] = toks.take_floats(int(np.prod(shape)), section).reshape(shape)
+            # math.prod stays exact where a header's sizes overflow int64
+            arrays[name] = toks.take_floats(math.prod(shape), section).reshape(shape)
         predictor = PredictorParams(**arrays, n_s=n, m=m, f_dim=f_dim, shared=bool(shared))
     if not toks.done():
         raise LutFormatError(f"trailing data from token {toks.pos}")
@@ -178,7 +188,7 @@ def export_cube(lattice: Lattice, n_out: int, path) -> None:
     green = (line // n_out) % n_out
     blue = line // (n_out * n_out)
     pix = np.stack([grid[red], grid[green], grid[blue]], axis=0)
-    out = _transform_block(pix, lattice.coords, lattice.values)
+    out = transform_image(pix.reshape(3, 1, -1), lattice).reshape(3, -1)
     np.clip(out, 0.0, 1.0, out=out)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"LUT_3D_SIZE {n_out}\n")

@@ -4,17 +4,18 @@ Samples map to [0, 1] as value / maxval on read, or stay integers on
 request; writing rounds half up and clips.  As the format requires, a
 sample takes one byte when maxval is below 256 and two big-endian bytes
 otherwise.  Parse failures report the byte offset where the reader gave
-up.  Writing rounds in row blocks of about CHUNK_PIXELS pixels straight
-into the output raster, so its temporaries stay cache-sized on large
-frames.  It runs on one thread even when `nulut apply` transforms on
-every usable CPU; the bytes written depend on neither count.
+up.  Writing rounds straight into the output raster over the same row
+blocks the transform uses (transform.row_blocks), so its temporaries
+stay cache-sized on large frames.  It runs on one thread even when
+`nulut apply` transforms on every usable CPU; the bytes written depend
+on neither count.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .transform import CHUNK_PIXELS
+from .transform import check_image_shape, row_blocks
 
 MAX_MAXVAL = 65535
 
@@ -104,24 +105,27 @@ def write_image(img, path, maxval: int = 255) -> None:
     """Write a normalized image as P6, rounding half up and clipping.
 
     Each sample is clip(floor(x * maxval + 0.5), 0, maxval), computed in
-    row blocks straight into the output raster.
+    row blocks straight into the output raster.  A non-finite sample
+    raises ValueError before the file is opened.
     """
     if (isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer))
             or not 1 <= maxval <= MAX_MAXVAL):
         raise ValueError(f"unsupported maxval {maxval}")
     a = np.asarray(img, dtype=np.float64)
-    if a.ndim != 3 or a.shape[0] != 3:
-        raise ValueError(f"image must have shape (3, h, w), got {a.shape}")
+    check_image_shape(a)
     h, w = a.shape[1], a.shape[2]
     raster = np.empty((h, w, 3), dtype=_sample_dtype(maxval))
-    rows = max(1, CHUNK_PIXELS // max(w, 1))
-    buf = np.empty((min(rows, h), w, 3))
-    for r0 in range(0, h, rows):
-        r1 = min(r0 + rows, h)
+    blocks = row_blocks(h, w)
+    buf = np.empty((blocks[0][1], w, 3))
+    for r0, r1 in blocks:
         # the first pass reads the planes across into raster order, so the
         # rest of the block's passes and its cast run on contiguous memory
         levels = buf[: r1 - r0]
         np.multiply(a[:, r0:r1].transpose(1, 2, 0), maxval, out=levels)
+        # a finite sample overflows to inf only beyond 1.7e308 / maxval, so
+        # the input block is read again only when its levels are not finite
+        if not np.isfinite(levels).all() and not np.isfinite(a[:, r0:r1]).all():
+            raise ValueError("image values must be finite")
         levels += 0.5
         np.floor(levels, out=levels)
         np.clip(levels, 0, maxval, out=levels)

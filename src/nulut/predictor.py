@@ -17,7 +17,7 @@ import numpy as np
 
 from .analysis import bin_indices
 from .lattice import identity_lut, shared_to_full, uniform_coordinates
-from .transform import _validate_image
+from .transform import validate_image
 
 HIST_BINS = 32
 FEATURE_DIM = 3 * HIST_BINS + 6
@@ -47,7 +47,7 @@ def extract_features(img) -> np.ndarray:
     three channel means, then the three channel standard deviations.
     The image must hold finite values in [0, 1].
     """
-    pixels = _validate_image(img).reshape(3, -1)
+    pixels = validate_image(img).reshape(3, -1)
     parts = []
     for c in range(3):
         hist = np.bincount(bin_indices(pixels[c], HIST_BINS), minlength=HIST_BINS)

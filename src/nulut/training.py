@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .analysis import _check_pair
+from .analysis import check_pair
 from .lattice import (
     Lattice,
     coordinate_logit_vjp,
@@ -35,6 +35,7 @@ from .predictor import (
 )
 # perfbench's tracer rebinds transform_image and transform_with_grads here by name
 from .transform import transform_image, transform_vjp, transform_with_grads  # noqa: F401
+from .transform import validate_image
 
 
 class TrainingDivergedError(RuntimeError):
@@ -47,8 +48,10 @@ class LossWeights:
     lambda_m: float = 10.0  # monotonicity hinge weight
 
     def __post_init__(self):
-        if self.lambda_s < 0 or self.lambda_m < 0:
-            raise ValueError("loss weights must be non-negative")
+        for name in ("lambda_s", "lambda_m"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)
@@ -63,8 +66,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (np.isfinite(self.interval_lr_decay) and self.interval_lr_decay >= 0):
+            raise ValueError(
+                f"interval_lr_decay must be finite and non-negative, got {self.interval_lr_decay}"
+            )
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if not 0 <= self.freeze_interval_epochs <= self.epochs:
@@ -79,6 +86,12 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ImagePair:
+    """A training pair, checked once here and stored as float64 arrays.
+
+    The input must be a (3, h, w) image of finite values in [0, 1]; the
+    target must have the same shape and finite values.
+    """
+
     input: np.ndarray
     target: np.ndarray
 
@@ -88,6 +101,11 @@ class ImagePair:
                 f"input {np.shape(self.input)} and target {np.shape(self.target)} "
                 "shapes differ"
             )
+        object.__setattr__(self, "input", validate_image(self.input))
+        target = np.asarray(self.target, dtype=np.float64)
+        if not np.all(np.isfinite(target)):
+            raise ValueError("target values must be finite")
+        object.__setattr__(self, "target", target)
 
 
 HISTORY_COLUMNS = ("step", "loss", "l_r", "l_s", "l_m")
@@ -95,7 +113,7 @@ HISTORY_COLUMNS = ("step", "loss", "l_r", "l_s", "l_m")
 
 def reconstruction_loss_grad(pred, target):
     """Mean squared error over all 3*h*w entries, and its gradient."""
-    p, t = _check_pair(pred, target)
+    p, t = check_pair(pred, target)
     d = p - t
     loss = float(np.mean(d * d))
     d *= 2.0

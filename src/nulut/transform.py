@@ -21,12 +21,13 @@ and keeps only the located cells (low knot index, cell width and
 offset), and its backward computes every gradient from those same
 cells, so nothing is located or blended twice.
 
-Per-pixel work is independent, so images are processed in fixed blocks
-of CHUNK_ROWS rows; the forward-only transform also caps a block at
-about CHUNK_PIXELS pixels so its temporaries stay cache-sized on wide
-images.  The block grid depends only on the image size; worker threads
-share the read-only lattice, write disjoint output slices, and keep
-private gradient buffers that are reduced in block order.  Results are
+Per-pixel work is independent, so images are processed in row blocks.
+One grid, row_blocks, serves the forward transform, the training pass
+and PPM writing: blocks of at most CHUNK_ROWS rows and about
+CHUNK_PIXELS pixels, so temporaries stay cache-sized on wide images.
+The grid depends only on the image size; worker threads share the
+read-only lattice, write disjoint output slices, and keep private
+gradient buffers that are reduced in block order.  Results are
 therefore bit-identical for any thread count.
 """
 
@@ -107,10 +108,16 @@ def trilinear_weights(xd_r: float, xd_g: float, xd_b: float) -> np.ndarray:
     return weights
 
 
-def _validate_image(img) -> np.ndarray:
-    a = np.asarray(img, dtype=np.float64)
+def check_image_shape(a: np.ndarray) -> None:
+    """Raise ValueError unless a has shape (3, h, w) with h, w >= 1."""
     if a.ndim != 3 or a.shape[0] != 3 or a.shape[1] < 1 or a.shape[2] < 1:
         raise ValueError(f"image must have shape (3, h, w), got {a.shape}")
+
+
+def validate_image(img) -> np.ndarray:
+    """img as a float64 (3, h, w) array of finite values in [0, 1], or ValueError."""
+    a = np.asarray(img, dtype=np.float64)
+    check_image_shape(a)
     if not np.all(np.isfinite(a)):
         raise ValueError("image values must be finite")
     if a.min() < 0.0 or a.max() > 1.0:
@@ -235,15 +242,17 @@ def _validate_samples(samples, maxval) -> np.ndarray:
     a = np.asarray(samples)
     if a.dtype.kind not in "ui":
         raise ValueError(f"quantized samples must be integers, got dtype {a.dtype}")
-    if a.ndim != 3 or a.shape[0] != 3 or a.shape[1] < 1 or a.shape[2] < 1:
-        raise ValueError(f"image must have shape (3, h, w), got {a.shape}")
+    check_image_shape(a)
     info = np.iinfo(a.dtype)
     if (info.min < 0 and a.min() < 0) or (info.max > maxval and a.max() > maxval):
         raise ValueError(f"quantized samples must lie in [0, {maxval}]")
     return a
 
 
-def _row_blocks(height, rows=CHUNK_ROWS):
+def row_blocks(height: int, width: int) -> list[tuple[int, int]]:
+    """Row ranges (r0, r1) covering an image: blocks of at least one and at
+    most CHUNK_ROWS rows, and about CHUNK_PIXELS pixels."""
+    rows = max(1, min(CHUNK_ROWS, CHUNK_PIXELS // width))
     return [(r, min(r + rows, height)) for r in range(0, height, rows)]
 
 
@@ -272,7 +281,7 @@ def transform_image(
     """
     coords, values = lattice.coords, lattice.values
     if maxval is None:
-        a = _validate_image(img)
+        a = validate_image(img)
 
         def block_transform(pix):
             return _transform_block(pix, coords, values)
@@ -287,14 +296,13 @@ def transform_image(
 
     h, w = a.shape[1], a.shape[2]
     out = np.empty_like(a, dtype=np.float64)
-    blocks = _row_blocks(h, max(1, min(CHUNK_ROWS, CHUNK_PIXELS // w)))
 
     def run(block):
         r0, r1 = block
         res = block_transform(a[:, r0:r1, :].reshape(3, -1))
         out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
 
-    _map_blocks(run, blocks, workers)
+    _map_blocks(run, row_blocks(h, w), workers)
     return out
 
 
@@ -325,37 +333,31 @@ def _backward_block(cells, gout, values):
     n3 = n * n * n
     flat = values.reshape(3, n3)
     base = _base_index(e0, n)
-    wr, wg, wb = _weight_pairs(xd)
+    wr, wg, wb = pairs = _weight_pairs(xd)
 
-    gathered = {}
+    # corner[i, j, k] holds the (3, p) vertex values at (e_r + i, e_g + j, e_b + k)
+    corner = np.empty((2, 2, 2) + xd.shape)
     grad_values = np.zeros((3, n3))
     for i, j, k in _CORNERS:
         w = (wr[i] * wg[j]) * wb[k]
         idx = base + (i * n + j) * n + k
-        gathered[(i, j, k)] = flat.take(idx, axis=1)
+        corner[i, j, k] = flat.take(idx, axis=1)
         for c in range(3):
             grad_values[c] += np.bincount(idx, weights=w * gout[c], minlength=n3)
 
     # chain through the normalized offsets: the weight derivative along one
     # axis pairs the other two axes' weights with the on-axis vertex delta
-    off_axis_weights = {0: (wg, wb), 1: (wr, wb), 2: (wr, wg)}
-
-    def corner(axis, side, u, v):
-        key = [u, v]
-        key.insert(axis, side)
-        return gathered[tuple(key)]
-
     grad_coords = np.zeros((3, n))
     grad_input = np.empty_like(xd)
     for axis in range(3):
-        w_u, w_v = off_axis_weights[axis]
+        w_u, w_v = (pairs[a] for a in range(3) if a != axis)
+        lo, hi = np.moveaxis(corner, axis, 0)
         g_axis = np.zeros(xd.shape[1])
         for u in (0, 1):
             for v in (0, 1):
-                hi, lo = corner(axis, 1, u, v), corner(axis, 0, u, v)
                 w_off = w_u[u] * w_v[v]
                 for c in range(3):
-                    g_axis += gout[c] * (w_off * (hi[c] - lo[c]))
+                    g_axis += gout[c] * (w_off * (hi[u, v, c] - lo[u, v, c]))
         gx0 = g_axis * (-(1.0 - xd[axis]) / gap[axis])
         gx1 = g_axis * (-xd[axis] / gap[axis])
         grad_coords[axis] = np.bincount(
@@ -383,19 +385,19 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1):
     """Forward transform of a float image, and a function for its backward.
 
     Returns (out, backward).  The forward locates each pixel's cell once,
-    per CHUNK_ROWS-row block, and keeps only the located cells (e0, gap,
+    per row_blocks block, and keeps only the located cells (e0, gap,
     xd); backward(grad_output) turns the loss gradient w.r.t. out into
     LatticeGradients from those same cells.  Table and coordinate
     gradients are accumulated into per-block buffers that are reduced in
     block order, so the result does not depend on the number of workers.
     """
-    a = _validate_image(img)
+    a = validate_image(img)
     coords, values = lattice.coords, lattice.values
     n = lattice.n_s
     flat = values.reshape(3, n * n * n)
     h, w = a.shape[1], a.shape[2]
     out = np.empty_like(a)
-    blocks = _row_blocks(h)
+    blocks = row_blocks(h, w)
 
     def forward(block):
         r0, r1 = block

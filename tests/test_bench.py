@@ -1,6 +1,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from nulut.bench import comparison_bound, run_bench
 
@@ -31,6 +32,11 @@ class TestRunBench:
             transform_image(img, lattice, workers=1),
             transform_image(img, lattice, workers=4),
         )
+
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one_rejected(self, threads):
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_bench([(4, 4)], threads=threads, repeat=1, n_s=3)
 
     def test_report_lines_render(self):
         report = run_bench([(32, 32)], repeat=1, n_s=9)

@@ -287,6 +287,55 @@ class TestNegativeFreeze:
         assert not (tmp_path / "p.nulut").exists()
 
 
+class TestBoundaryErrors:
+    """Bad hyperparameters and checkpoint headers fail where they enter, in one line."""
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--lr", "nan"], "learning_rate must be finite and positive, got nan"),
+        (["--lambda-s", "nan"], "lambda_s must be finite and non-negative, got nan"),
+        (["--lambda-m", "inf"], "lambda_m must be finite and non-negative, got inf"),
+        (["--interval-lr-decay", "-1"],
+         "interval_lr_decay must be finite and non-negative, got -1.0"),
+        (["--interval-lr-decay", "nan"],
+         "interval_lr_decay must be finite and non-negative, got nan"),
+    ])
+    def test_fit(self, gamma_pair, tmp_path, capsys, extra, message):
+        out = tmp_path / "l.nulut"
+        assert cli_main(
+            ["fit", "--input", str(gamma_pair[0]), "--target", str(gamma_pair[1]),
+             "--nsize", "3", "--steps", "4", "--adaptive", "--out", str(out), *extra]
+        ) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_train_infinite_lr(self, gamma_pair, tmp_path, capsys):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{gamma_pair[0]}\t{gamma_pair[1]}\n")
+        out = tmp_path / "p.nulut"
+        assert cli_main(
+            ["train", "--pairs-manifest", str(manifest), "--nsize", "3", "--m", "1",
+             "--epochs", "2", "--lr", "inf", "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == "error: learning_rate must be finite and positive, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("threads", ["0", "-2"])
+    def test_bench_threads_below_one(self, capsys, threads):
+        assert cli_main(["bench", "--sizes", "4x4", "--threads", threads]) == 2
+        assert capsys.readouterr() == ("", f"error: threads must be >= 1, got {threads}\n")
+
+    def test_apply_oversized_checkpoint_size(self, gamma_pair, tmp_path, capsys):
+        lut = tmp_path / "huge.nulut"
+        lut.write_text("NULUT3D 1\nsize 100000000000\n")
+        out = tmp_path / "o.ppm"
+        assert cli_main(["apply", "--lut", str(lut), "--input", str(gamma_pair[0]),
+                         "--output", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: unexpected end of file, expected 'coords'\n"
+        )
+        assert not out.exists()
+
+
 class TestTrain:
     def test_train_and_adaptive_apply(self, rng, tmp_path, capsys):
         manifest = tmp_path / "pairs.tsv"

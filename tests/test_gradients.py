@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import queries_off_knots, random_lattice
@@ -214,6 +214,8 @@ CASES = st.tuples(
     st.integers(1, 8),  # w
     st.integers(0, 2**32 - 1),  # seed for the arrays
 )
+# wider than CHUNK_PIXELS // CHUNK_ROWS, so row_blocks cuts blocks to 54 rows
+WIDE_CASE = (5, 70, 600, 11)
 
 
 def drawn_case(n, h, w, seed):
@@ -249,6 +251,7 @@ def separate_passes(lattice, q, pair, weights):
 class TestLocatedOnceProperties:
     @PROPERTY_SETTINGS
     @given(CASES)
+    @example(WIDE_CASE)
     def test_training_core_matches_separate_passes(self, case):
         q, lattice, img = drawn_case(*case)
         pair = ImagePair(img, np.sqrt(img))
@@ -261,6 +264,7 @@ class TestLocatedOnceProperties:
 
     @PROPERTY_SETTINGS
     @given(CASES)
+    @example(WIDE_CASE)
     def test_workers_give_the_same_bytes(self, case):
         _, lattice, img = drawn_case(*case)
         grad_out = np.random.default_rng(case[3]).normal(size=img.shape)

@@ -156,6 +156,46 @@ class TestParseErrors:
             load_lattice(path)
 
 
+class TestHeaderSizes:
+    """A header size is checked against the tokens left before anything is allocated."""
+
+    def test_oversized_lattice_size_reports_end_of_file(self, tmp_path):
+        path = tmp_path / "huge.nulut"
+        path.write_text("NULUT3D 1\nsize 100000000000\ncoords r 0 1\n")
+        with pytest.raises(LutFormatError) as info:
+            load_lattice(path)
+        assert str(info.value) == "unexpected end of file, expected coords r value 2"
+
+    @staticmethod
+    def with_predictor_header(rng, path, header):
+        save_lattice(random_lattice(rng, 3), path, predictor=init_params(n_s=3, m=2))
+        path.write_text(path.read_text().replace("predictor 102 2 0", header))
+
+    @pytest.mark.parametrize("header,message", [
+        # the tokens left run into the next section, whose name is not a float
+        ("predictor 102 1000000000000000 0", "expected float in h0_weights, found 'h0_bias'"),
+        ("predictor 1000000000000000000000 2 0", "expected float in g_weights, found 'g_bias'"),
+    ])
+    def test_oversized_predictor_sizes_report_first_bad_token(
+        self, rng, tmp_path, header, message
+    ):
+        path = tmp_path / "p.nulut"
+        self.with_predictor_header(rng, path, header)
+        with pytest.raises(LutFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("f_dim,m", [(0, 2), (102, 0), (-5, 2), (102, -1)])
+    def test_predictor_dimensions_below_one_rejected_by_name(self, rng, tmp_path, f_dim, m):
+        path = tmp_path / "p.nulut"
+        self.with_predictor_header(rng, path, f"predictor {f_dim} {m} 0")
+        with pytest.raises(LutFormatError) as info:
+            load_checkpoint(path)
+        assert str(info.value) == (
+            f"predictor f_dim and m must be >= 1, got f_dim={f_dim}, m={m}"
+        )
+
+
 class TestPredictorCheckpoint:
     def test_round_trip_with_predictor(self, rng, tmp_path):
         params = init_params(n_s=4, m=2, seed=3)

@@ -118,6 +118,22 @@ class TestWriteReadRoundTrip:
         assert back[0, 0, 0] == 1.0
         assert back[1, 0, 1] == 0.0
 
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_samples_rejected_before_writing(self, tmp_path, maxval, value):
+        img = np.full((3, 70, 600), 0.5)  # several row blocks; the bad one is last
+        img[1, 65, 7] = value
+        path = tmp_path / "bad.ppm"
+        with pytest.raises(ValueError, match="image values must be finite"):
+            write_image(img, path, maxval=maxval)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("shape", [(3, 0, 5), (3, 5, 0), (1, 2, 2), (3, 4)])
+    def test_write_rejects_shapes_read_ppm_rejects(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=r"image must have shape \(3, h, w\)"):
+            write_image(np.zeros(shape), tmp_path / "e.ppm")
+        assert not (tmp_path / "e.ppm").exists()
+
     def test_write_rejects_bad_maxval(self, rng, tmp_path):
         for maxval in (0, 65536, 255.0, True):
             with pytest.raises(ValueError, match="unsupported maxval"):

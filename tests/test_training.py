@@ -165,6 +165,12 @@ class TestTotalLoss:
         with pytest.raises(ValueError):
             LossWeights(lambda_s=-1.0)
 
+    @pytest.mark.parametrize("field", ["lambda_s", "lambda_m"])
+    @pytest.mark.parametrize("value", [-1.0, float("nan"), float("inf")])
+    def test_rejects_bad_weights_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
+            LossWeights(**{field: value})
+
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
@@ -287,6 +293,52 @@ class TestTrainConfigValidation:
     def test_non_positive_eps_rejected(self, eps):
         with pytest.raises(ValueError, match="adam_eps must be positive"):
             TrainConfig(adam_eps=eps)
+
+    @pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite and positive"):
+            TrainConfig(learning_rate=lr)
+
+    @pytest.mark.parametrize("decay", [-1.0, float("nan"), float("inf")])
+    def test_bad_interval_lr_decay_rejected(self, decay):
+        with pytest.raises(ValueError, match="interval_lr_decay must be finite and non-negative"):
+            TrainConfig(interval_lr_decay=decay)
+
+    def test_zero_interval_lr_decay_accepted(self):
+        TrainConfig(interval_lr_decay=0.0)
+
+
+class TestImagePair:
+    def test_shape_mismatch_is_reported_first(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            ImagePair(np.full((3, 2, 2), np.nan), np.zeros((3, 2, 3)))
+
+    def test_input_shape_checked(self):
+        with pytest.raises(ValueError, match=r"image must have shape \(3, h, w\)"):
+            ImagePair(np.zeros((2, 2, 2)), np.zeros((2, 2, 2)))
+
+    @pytest.mark.parametrize("value,message", [
+        (np.nan, "image values must be finite"),
+        (1.5, r"image values must lie in \[0, 1\]"),
+    ])
+    def test_input_checked_before_target(self, value, message):
+        img = np.zeros((3, 2, 2))
+        img[1, 0, 1] = value
+        with pytest.raises(ValueError, match=message):
+            ImagePair(img, np.full((3, 2, 2), np.nan))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_target_rejected(self, value):
+        target = np.zeros((3, 2, 2))
+        target[2, 1, 1] = value
+        with pytest.raises(ValueError, match="target values must be finite"):
+            ImagePair(np.zeros((3, 2, 2)), target)
+
+    def test_stores_float64_arrays(self):
+        # a finite target outside [0, 1] is accepted
+        pair = ImagePair(np.ones((3, 1, 2), dtype=np.float32), [[[0, 2]]] * 3)
+        assert pair.input.dtype == np.float64 and pair.target.dtype == np.float64
+        assert pair.target.shape == (3, 1, 2)
 
 
 class TestDirectParameterGradients:
