@@ -13,19 +13,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .transform import check_image_shape
+
 DEFAULT_BINS = 1000
 
 _CHANNELS = ("r", "g", "b")
 
 
 def check_pair(x, y):
-    """Two images as float64 arrays of one (3, h, w) shape, or ValueError."""
+    """Two images as float64 arrays of one (3, h, w) shape, h, w >= 1, or ValueError."""
     a = np.asarray(x, dtype=np.float64)
     b = np.asarray(y, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    if a.ndim != 3 or a.shape[0] != 3:
-        raise ValueError(f"images must have shape (3, h, w), got {a.shape}")
+    check_image_shape(a)
     return a, b
 
 

@@ -74,6 +74,13 @@ def run_bench(
         raise ValueError("repeat must be >= 1")
     if threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
+    if n_s < 2:
+        raise ValueError(f"n_s must be >= 2, got {n_s}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    for width, height in sizes:
+        if width < 1 or height < 1:
+            raise ValueError(f"sizes must be at least 1x1, got {width}x{height}")
     rng = np.random.default_rng(seed)
     coords = coordinates_from_logits(rng.uniform(-1.0, 1.0, size=(3, n_s - 1)))
     values = identity_lut(coords) + rng.normal(0.0, 0.02, size=(3, n_s, n_s, n_s))

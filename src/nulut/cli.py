@@ -9,6 +9,7 @@ output bytes do not depend on that count.
 from __future__ import annotations
 
 import argparse
+import inspect
 import os
 import sys
 
@@ -32,45 +33,44 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="nulut", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    config, weights = training.TrainConfig(), training.LossWeights()
 
-    fit = sub.add_parser("fit", help="fit a lattice to one input/target pair")
+    # flags fit and train share; the library owns every default but --lr
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--nsize", type=int, required=True)
+    common.add_argument("--out", required=True)
+    common.add_argument("--shared", action="store_true")
+    common.add_argument("--lr", type=float, default=1e-2)
+    common.add_argument("--interval-lr-decay", type=float, default=config.interval_lr_decay)
+    common.add_argument("--seed", type=int, default=config.seed,
+                        help="seeds train's predictor initialization; fit draws no random numbers")
+    common.add_argument("--history", default=None, help="write per-step loss CSV here")
+
+    fit = sub.add_parser("fit", parents=[common], help="fit a lattice to one input/target pair")
     fit.add_argument("--input", required=True)
     fit.add_argument("--target", required=True)
-    fit.add_argument("--nsize", type=int, required=True)
     fit.add_argument("--steps", type=int, required=True)
     mode = fit.add_mutually_exclusive_group(required=True)
     mode.add_argument("--adaptive", action="store_true")
     mode.add_argument("--uniform", action="store_true")
-    fit.add_argument("--shared", action="store_true")
-    fit.add_argument("--out", required=True)
-    fit.add_argument("--lr", type=float, default=1e-2)
     fit.add_argument("--freeze", type=int, default=None,
                      help="interval warmup steps (default: 10%% of steps)")
-    fit.add_argument("--interval-lr-decay", type=float, default=0.1)
-    fit.add_argument("--lambda-s", type=float, default=0.0001)
-    fit.add_argument("--lambda-m", type=float, default=10.0)
-    fit.add_argument("--seed", type=int, default=0)
-    fit.add_argument("--history", default=None, help="write per-step loss CSV here")
+    fit.add_argument("--lambda-s", type=float, default=weights.lambda_s)
+    fit.add_argument("--lambda-m", type=float, default=weights.lambda_m)
 
     apply_ = sub.add_parser("apply", help="apply a saved lattice to an image")
     apply_.add_argument("--lut", required=True)
     apply_.add_argument("--input", required=True)
     apply_.add_argument("--output", required=True)
 
-    train = sub.add_parser("train", help="train the adaptive predictor on pairs")
+    train = sub.add_parser("train", parents=[common], help="train the adaptive predictor on pairs")
     train.add_argument("--pairs-manifest", required=True,
                        help="text file, one 'input<TAB>target' line per pair")
-    train.add_argument("--nsize", type=int, required=True)
     train.add_argument("--m", type=int, required=True)
     train.add_argument("--epochs", type=int, required=True)
-    train.add_argument("--out", required=True)
-    train.add_argument("--shared", action="store_true")
-    train.add_argument("--lr", type=float, default=1e-2)
-    train.add_argument("--freeze", type=int, default=5)
-    train.add_argument("--interval-lr-decay", type=float, default=0.1)
-    train.add_argument("--batch", type=int, default=1)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--history", default=None)
+    train.add_argument("--freeze", type=int, default=config.freeze_interval_epochs)
+    train.add_argument("--batch", type=int, default=inspect.signature(
+        training.train_predictor).parameters["batch_size"].default)
 
     aeh = sub.add_parser("aeh", help="accumulated error histogram diagnostics")
     aeh.add_argument("--input", required=True)
@@ -81,13 +81,15 @@ def build_parser() -> argparse.ArgumentParser:
                      help="optional lattice whose knots go in the coords CSV")
     aeh.add_argument("--svg", action="store_true")
 
-    bench_p = sub.add_parser("bench", help="transform throughput on random images")
+    # only the flags given reach run_bench, which owns every default
+    bench_p = sub.add_parser("bench", help="transform throughput on random images",
+                             argument_default=argparse.SUPPRESS)
     bench_p.add_argument("--sizes", required=True,
                          help="comma-separated WxH list, e.g. 1920x1080,3840x2160")
-    bench_p.add_argument("--threads", type=int, default=1)
-    bench_p.add_argument("--repeat", type=int, default=3)
-    bench_p.add_argument("--nsize", type=int, default=33)
-    bench_p.add_argument("--seed", type=int, default=0)
+    bench_p.add_argument("--threads", type=int)
+    bench_p.add_argument("--repeat", type=int)
+    bench_p.add_argument("--nsize", type=int, dest="n_s", metavar="NSIZE")
+    bench_p.add_argument("--seed", type=int)
 
     cube = sub.add_parser("export-cube", help="resample a lattice to .cube")
     cube.add_argument("--lut", required=True)
@@ -213,13 +215,8 @@ def _parse_sizes(size_list):
 
 
 def _cmd_bench(args) -> int:
-    report = bench.run_bench(
-        _parse_sizes(args.sizes),
-        threads=args.threads,
-        repeat=args.repeat,
-        n_s=args.nsize,
-        seed=args.seed,
-    )
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "sizes")}
+    report = bench.run_bench(_parse_sizes(args.sizes), **options)
     for line in report.lines():
         print(line)
     if report.max_comparisons > report.comparison_bound:

@@ -177,18 +177,17 @@ def export_cube(lattice: Lattice, n_out: int, path) -> None:
 
     The .cube format only supports uniform grids, so each output entry is
     the lattice transform evaluated at the grid point, clipped to [0, 1].
-    Lines run with the red index fastest, as the format requires.
+    Grid index k stands for k / (n_out - 1), the transform's quantized
+    levels.  Lines run with the red index fastest, as the format requires.
     """
     if n_out < 2:
         raise ValueError(f"cube size must be >= 2, got {n_out}")
-    grid = np.arange(n_out, dtype=np.float64) / (n_out - 1)
-    grid[-1] = 1.0
     line = np.arange(n_out**3)
     red = line % n_out
     green = (line // n_out) % n_out
     blue = line // (n_out * n_out)
-    pix = np.stack([grid[red], grid[green], grid[blue]], axis=0)
-    out = transform_image(pix.reshape(3, 1, -1), lattice).reshape(3, -1)
+    pix = np.stack([red, green, blue], axis=0)
+    out = transform_image(pix.reshape(3, 1, -1), lattice, maxval=n_out - 1).reshape(3, -1)
     np.clip(out, 0.0, 1.0, out=out)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"LUT_3D_SIZE {n_out}\n")

@@ -1,4 +1,7 @@
-"""Binary PPM (P6) reading and writing at any maxval from 1 to 65535.
+"""Binary PPM (P6) reading and writing at any maxval from 1 to MAX_MAXVAL.
+
+transform owns that range: write_image checks it with check_maxval, and
+read_ppm reads the same MAX_MAXVAL but reports a bad header by offset.
 
 Samples map to [0, 1] as value / maxval on read, or stay integers on
 request; writing rounds half up and clips.  As the format requires, a
@@ -15,9 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .transform import check_image_shape, row_blocks
-
-MAX_MAXVAL = 65535
+from .transform import MAX_MAXVAL, check_image_shape, check_maxval, row_blocks
 
 
 class PpmParseError(ValueError):
@@ -108,9 +109,7 @@ def write_image(img, path, maxval: int = 255) -> None:
     row blocks straight into the output raster.  A non-finite sample
     raises ValueError before the file is opened.
     """
-    if (isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer))
-            or not 1 <= maxval <= MAX_MAXVAL):
-        raise ValueError(f"unsupported maxval {maxval}")
+    check_maxval(maxval)
     a = np.asarray(img, dtype=np.float64)
     check_image_shape(a)
     h, w = a.shape[1], a.shape[2]

@@ -74,6 +74,8 @@ class TrainConfig:
             )
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.freeze_interval_epochs <= self.epochs:
             raise ValueError(
                 f"freeze_interval_epochs must lie in [0, epochs], got {self.freeze_interval_epochs}"
@@ -255,14 +257,13 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
     return (loss, l_r, l_s, l_m), g_table, g_logits
 
 
-def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig,
-              interval_names, adaptive: bool = True):
+def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig, interval_names):
     """Adam over batches for config.epochs epochs: the schedule both regimes share.
 
     loss_and_grads(params, item) gives one batch item's loss parts and
     gradient dict, averaged over each batch.  interval_names stay frozen
-    for the warmup (for the whole run with adaptive=False), then train at
-    the decayed rate.  Returns the final parameters and the loss history.
+    for config.freeze_interval_epochs, then train at the decayed rate.
+    Returns the final parameters and the loss history.
     """
     if not batches:
         raise ValueError("at least one image pair is required")
@@ -272,7 +273,7 @@ def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig,
     history = []
     initial_loss = None
     for epoch in range(config.epochs):
-        train_intervals = adaptive and epoch >= config.freeze_interval_epochs
+        train_intervals = epoch >= config.freeze_interval_epochs
         for batch in batches:
             item_parts, acc = loss_and_grads(params, batch[0])
             parts = np.array(item_parts)
@@ -325,11 +326,13 @@ def fit_direct(
         return parts, {"values": g_table, "logits": g_logits}
 
     params = {
-        "logits": np.ones((1 if shared else 3, n_s - 1)),
         "values": identity_lut(uniform_coordinates(n_s)),
+        "logits": np.ones((1 if shared else 3, n_s - 1)),
     }
+    if not adaptive:
+        config = replace(config, freeze_interval_epochs=config.epochs)
     params, history = _optimize(
-        params, loss_and_grads, [[pair] for pair in pairs], config, ("logits",), adaptive
+        params, loss_and_grads, [[pair] for pair in pairs], config, ("logits",)
     )
     return build(params)[0], history
 

@@ -10,7 +10,8 @@ is located in one of two ways:
   k / maxval, indexes per-axis tables built once per call for the
   maxval + 1 levels.  The tables hold each level's flat-index offset
   and weight pair, computed by the float path's own expressions, so the
-  two ways give bit-identical results.
+  two ways give bit-identical results.  The maxval range is owned
+  here: MAX_MAXVAL and check_maxval, which ppm reads and writes by.
 
 Both feed one blend core.  The backward path returns analytic gradients
 of the output with respect to the table values, the sampling
@@ -43,6 +44,7 @@ from .lattice import Lattice
 
 CHUNK_ROWS = 64
 CHUNK_PIXELS = 32768
+MAX_MAXVAL = 65535
 
 _CORNERS = [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
 
@@ -220,7 +222,8 @@ def _level_tables(coords, maxval):
     float path sees, k / maxval.
     """
     n = coords.shape[1]
-    levels = np.arange(maxval + 1, dtype=np.float64) / maxval
+    # int(): maxval + 1 on a uint16 scalar at MAX_MAXVAL would wrap to 0
+    levels = np.arange(int(maxval) + 1, dtype=np.float64) / maxval
     e0, _, xd = _locate(coords, np.tile(levels, (3, 1)))
     return e0 * np.array([[n * n], [n], [1]]), _weight_pairs(xd)
 
@@ -234,11 +237,15 @@ def _level_block(samples, offsets, weights, flat, n):
     return _blend(flat, n, base, wr, wg, wb)
 
 
+def check_maxval(maxval) -> None:
+    """Raise ValueError unless maxval is an integer in [1, MAX_MAXVAL]."""
+    if (isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer))
+            or not 1 <= maxval <= MAX_MAXVAL):
+        raise ValueError(f"unsupported maxval {maxval}")
+
+
 def _validate_samples(samples, maxval) -> np.ndarray:
-    if isinstance(maxval, bool) or not isinstance(maxval, (int, np.integer)):
-        raise ValueError(f"maxval must be an integer, got {maxval!r}")
-    if not 1 <= maxval <= 65535:
-        raise ValueError(f"maxval must lie in [1, 65535], got {maxval}")
+    check_maxval(maxval)
     a = np.asarray(samples)
     if a.dtype.kind not in "ui":
         raise ValueError(f"quantized samples must be integers, got dtype {a.dtype}")

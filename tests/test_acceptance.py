@@ -344,7 +344,7 @@ class TestCriterion7LookupComplexityAndScaling:
         seconds(small)
         seconds(large)
         small_runs, large_runs = [], []
-        for _ in range(5):
+        for _ in range(9):
             small_runs.append(seconds(small))
             large_runs.append(seconds(large))
         # min over repeats: the least noise-inflated estimate of true cost

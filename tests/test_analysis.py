@@ -111,6 +111,14 @@ class TestAccumulativeErrorHistogram:
             accumulative_error_histogram(img, img, n_bin=0)
 
 
+@pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0)])
+@pytest.mark.parametrize("measure", [error_map, psnr, accumulative_error_histogram])
+def test_empty_images_rejected(measure, shape):
+    # an empty pair once averaged to NaN (psnr) or gave all-zero bins (aeh)
+    with pytest.raises(ValueError, match=r"image must have shape \(3, h, w\), got"):
+        measure(np.zeros(shape), np.zeros(shape))
+
+
 class TestPsnr:
     def test_identical_images_hit_cap(self, rng):
         img = rng.random((3, 5, 5))

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,21 @@ class TestRunBench:
     def test_threads_below_one_rejected(self, threads):
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
             run_bench([(4, 4)], threads=threads, repeat=1, n_s=3)
+
+    @pytest.mark.parametrize("options,message", [
+        ({"n_s": 1}, "n_s must be >= 2, got 1"),
+        ({"n_s": 0}, "n_s must be >= 2, got 0"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"sizes": [(4, 4), (0, 4)]}, "sizes must be at least 1x1, got 0x4"),
+        ({"sizes": [(3, -1)]}, "sizes must be at least 1x1, got 3x-1"),
+    ])
+    def test_out_of_range_rejected_before_drawing(self, monkeypatch, options, message):
+        def no_draws(*args, **kwargs):
+            raise AssertionError("random numbers drawn before the checks")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_bench(**{"sizes": [(4, 4)], "repeat": 1, **options})
 
     def test_report_lines_render(self):
         report = run_bench([(32, 32)], repeat=1, n_s=9)

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 
 import numpy as np
@@ -14,6 +15,8 @@ from nulut.ppm import read_image, write_image
 from nulut.predictor import extract_features, init_params, predict_logits, predict_values
 from nulut.transform import CHUNK_PIXELS, transform_image
 from nulut.analysis import psnr
+from nulut.bench import run_bench
+from nulut.training import LossWeights, TrainConfig, train_predictor
 
 
 @pytest.fixture
@@ -298,6 +301,8 @@ class TestBoundaryErrors:
          "interval_lr_decay must be finite and non-negative, got -1.0"),
         (["--interval-lr-decay", "nan"],
          "interval_lr_decay must be finite and non-negative, got nan"),
+        (["--nsize", "0"], "n_s must be >= 2, got 0"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
     ])
     def test_fit(self, gamma_pair, tmp_path, capsys, extra, message):
         out = tmp_path / "l.nulut"
@@ -319,6 +324,27 @@ class TestBoundaryErrors:
         assert capsys.readouterr().err == "error: learning_rate must be finite and positive, got inf\n"
         assert not out.exists()
 
+    def test_train_negative_seed(self, gamma_pair, tmp_path, capsys):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{gamma_pair[0]}\t{gamma_pair[1]}\n")
+        out = tmp_path / "p.nulut"
+        assert cli_main(
+            ["train", "--pairs-manifest", str(manifest), "--nsize", "3", "--m", "1",
+             "--epochs", "2", "--seed", "-1", "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--nsize", "1"], "n_s must be >= 2, got 1"),
+        (["--sizes", "0x4"], "sizes must be at least 1x1, got 0x4"),
+        (["--sizes", "4x4,3x-1"], "sizes must be at least 1x1, got 3x-1"),
+        (["--seed", "-1"], "seed must be >= 0, got -1"),
+    ])
+    def test_bench_out_of_range(self, capsys, extra, message):
+        assert cli_main(["bench", "--sizes", "4x4", "--repeat", "1", *extra]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
     @pytest.mark.parametrize("threads", ["0", "-2"])
     def test_bench_threads_below_one(self, capsys, threads):
         assert cli_main(["bench", "--sizes", "4x4", "--threads", threads]) == 2
@@ -334,6 +360,41 @@ class TestBoundaryErrors:
             "error: unexpected end of file, expected 'coords'\n"
         )
         assert not out.exists()
+
+
+class TestLibraryDefaults:
+    """Flags left out take the library's values; --lr 1e-2 is the CLI's own."""
+
+    @staticmethod
+    def parse(*argv):
+        return vars(cli.build_parser().parse_args(list(argv)))
+
+    def test_fit(self):
+        args = self.parse("fit", "--input", "i", "--target", "t", "--nsize", "3",
+                          "--steps", "1", "--adaptive", "--out", "o")
+        config, weights = TrainConfig(), LossWeights()
+        assert (args["interval_lr_decay"], args["seed"]) == (config.interval_lr_decay, config.seed)
+        assert (args["lambda_s"], args["lambda_m"]) == (weights.lambda_s, weights.lambda_m)
+        assert args["lr"] == 1e-2
+
+    def test_train(self):
+        args = self.parse("train", "--pairs-manifest", "p", "--nsize", "3", "--m", "1",
+                          "--epochs", "1", "--out", "o")
+        config = TrainConfig()
+        assert (args["interval_lr_decay"], args["seed"]) == (config.interval_lr_decay, config.seed)
+        assert args["freeze"] == config.freeze_interval_epochs
+        assert args["batch"] == inspect.signature(train_predictor).parameters["batch_size"].default
+        assert args["lr"] == 1e-2
+
+    def test_bench_passes_only_given_flags(self):
+        assert self.parse("bench", "--sizes", "4x4") == {"command": "bench", "sizes": "4x4"}
+        given = self.parse("bench", "--sizes", "4x4", "--threads", "2", "--repeat", "5",
+                           "--nsize", "9", "--seed", "7")
+        del given["command"], given["sizes"]
+        bound = inspect.signature(run_bench).bind([(4, 4)], **given)
+        assert bound.arguments == {
+            "sizes": [(4, 4)], "threads": 2, "repeat": 5, "n_s": 9, "seed": 7,
+        }
 
 
 class TestTrain:

@@ -16,7 +16,7 @@ from nulut.lutio import (
     save_lattice,
 )
 from nulut.predictor import PARAM_ARRAYS, init_params
-from nulut.transform import transform_pixel
+from nulut.transform import transform_image, transform_pixel
 
 
 class TestLatticeRoundTrip:
@@ -310,6 +310,26 @@ class TestExportCube:
     def test_rejects_tiny_size(self, rng, tmp_path):
         with pytest.raises(ValueError):
             export_cube(random_lattice(rng, 3), 1, tmp_path / "x.cube")
+
+    @pytest.mark.parametrize("n_out", [2, 17, 33])
+    def test_bytes_match_float_grid_route(self, rng, tmp_path, n_out):
+        lattice = random_lattice(rng, 9, logit_scale=2.0, value_noise=0.05)
+        path = tmp_path / "l.cube"
+        export_cube(lattice, n_out, path)
+        assert path.read_text(encoding="ascii") == float_grid_cube(lattice, n_out)
+
+
+def float_grid_cube(lattice, n_out):
+    """Reference .cube text: a hand-built float grid k / (n_out - 1) through
+    the float transform, as export_cube computed it before it used levels."""
+    grid = np.arange(n_out, dtype=np.float64) / (n_out - 1)
+    grid[-1] = 1.0
+    line = np.arange(n_out**3)
+    red, green, blue = line % n_out, (line // n_out) % n_out, line // (n_out * n_out)
+    pix = np.stack([grid[red], grid[green], grid[blue]], axis=0)
+    out = np.clip(transform_image(pix.reshape(3, 1, -1), lattice).reshape(3, -1), 0.0, 1.0)
+    rows = "".join(f"{r:.17g} {g:.17g} {b:.17g}\n" for r, g, b in out.T)
+    return f"LUT_3D_SIZE {n_out}\n" + rows
 
 
 # entries a 17-digit text format must carry exactly: signed zero, the

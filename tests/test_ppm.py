@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from conftest import random_lattice
+
+from nulut import ppm, transform
 from nulut.ppm import PpmParseError, read_image, read_ppm, write_image
-from nulut.transform import CHUNK_PIXELS
+from nulut.transform import CHUNK_PIXELS, transform_image
 
 
 class TestRead:
@@ -168,3 +171,32 @@ class TestRawSamples:
         path.write_bytes(b"P6\n1 1\n65535\n" + bytes([0x80, 0x01, 0, 0, 0xFF, 0xFF]))
         samples, _ = read_ppm(path, raw=True)
         assert samples[:, 0, 0].tolist() == [0x8001, 0, 65535]
+
+
+class TestOneMaxvalRange:
+    """write_image, transform_image(..., maxval=) and read_ppm take the same maxvals."""
+
+    def test_one_constant(self):
+        assert ppm.MAX_MAXVAL is transform.MAX_MAXVAL
+
+    @pytest.mark.parametrize("maxval,accepted", [
+        (0, False), (1, True), (255, True), (65535, True), (65536, False),
+        (2.5, False), (True, False), (np.uint16(65535), True),
+    ], ids=["0", "1", "255", "65535", "65536", "2.5", "True", "uint16-65535"])
+    def test_same_verdict_everywhere(self, rng, tmp_path, maxval, accepted):
+        written, header = tmp_path / "w.ppm", tmp_path / "h.ppm"
+        # one pixel at two bytes per sample covers every accepted maxval
+        header.write_bytes(f"P6\n1 1\n{maxval}\n".encode("ascii") + bytes(6))
+        calls = [
+            (lambda: write_image(np.zeros((3, 1, 1)), written, maxval=maxval), ValueError),
+            (lambda: transform_image(np.zeros((3, 1, 1), dtype=np.uint8),
+                                     random_lattice(rng, 3), maxval=maxval), ValueError),
+            (lambda: read_ppm(header), PpmParseError),
+        ]
+        for call, error in calls:
+            if accepted:
+                call()
+            else:
+                with pytest.raises(error):
+                    call()
+        assert written.exists() == accepted

@@ -47,6 +47,10 @@ class TestReconstructionLoss:
         with pytest.raises(ValueError):
             reconstruction_loss(rng.random((3, 2, 2)), rng.random((3, 2, 3)))
 
+    def test_rejects_empty_images(self):
+        with pytest.raises(ValueError, match=r"image must have shape \(3, h, w\), got \(3, 0, 4\)"):
+            reconstruction_loss_grad(np.zeros((3, 0, 4)), np.zeros((3, 0, 4)))
+
 
 def brute_force_smoothness(table):
     n = table.shape[1]
@@ -306,6 +310,10 @@ class TestTrainConfigValidation:
 
     def test_zero_interval_lr_decay_accepted(self):
         TrainConfig(interval_lr_decay=0.0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            TrainConfig(seed=-1)
 
 
 class TestImagePair:
