@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import argparse
 import inspect
-import os
 import sys
 
 import numpy as np
 
-from . import analysis, bench, lutio, ppm, training
+from . import analysis, bench, lutio, ppm, training, transform
 # perfbench's tracer looks predict_logits and predict_values up here by name
 from .predictor import predict_logits, predict_values, extract_features  # noqa: F401
 from .transform import transform_image
@@ -99,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_pair(input_path, target_path) -> training.ImagePair:
-    return training.ImagePair(ppm.read_image(input_path), ppm.read_image(target_path))
+    samples, maxval = ppm.read_ppm(input_path, raw=True)
+    return training.ImagePair(samples, ppm.read_image(target_path), maxval=maxval)
 
 
 def _train_config(args, epochs, freeze) -> training.TrainConfig:
@@ -137,13 +137,6 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _cmd_apply(args) -> int:
     lattice, predictor = lutio.load_checkpoint(args.lut)
     samples, maxval = ppm.read_ppm(args.input, raw=True)
@@ -151,7 +144,7 @@ def _cmd_apply(args) -> int:
         lattice = _predicted_lattice(samples.astype(np.float64) / maxval, predictor)
     # write_image rounds and clips to [0, maxval], so no clip to [0, 1] here;
     # transform_image's bytes do not depend on the worker count
-    out = transform_image(samples, lattice, workers=_usable_cpus(), maxval=maxval)
+    out = transform_image(samples, lattice, workers=transform.usable_cpus(), maxval=maxval)
     ppm.write_image(out, args.output, maxval=maxval)
     print(f"apply: wrote {args.output}")
     return 0

@@ -35,7 +35,7 @@ from .predictor import (
 )
 # perfbench's tracer rebinds transform_image and transform_with_grads here by name
 from .transform import transform_image, transform_vjp, transform_with_grads  # noqa: F401
-from .transform import validate_image
+from .transform import usable_cpus, validate_image, validate_samples
 
 
 class TrainingDivergedError(RuntimeError):
@@ -88,14 +88,20 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class ImagePair:
-    """A training pair, checked once here and stored as float64 arrays.
+    """A training pair, checked once here and stored as arrays.
 
     The input must be a (3, h, w) image of finite values in [0, 1]; the
-    target must have the same shape and finite values.
+    target must have the same shape and finite values.  With an integer
+    maxval, input holds integer samples in [0, maxval] instead: the pair
+    keeps them as samples, and input becomes the floats sample / maxval
+    that read_image gives, so training can locate cells through the
+    transform's per-level tables.  Without maxval, samples is None.
     """
 
     input: np.ndarray
     target: np.ndarray
+    maxval: int | None = None
+    samples: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if np.shape(self.input) != np.shape(self.target):
@@ -103,7 +109,12 @@ class ImagePair:
                 f"input {np.shape(self.input)} and target {np.shape(self.target)} "
                 "shapes differ"
             )
-        object.__setattr__(self, "input", validate_image(self.input))
+        if self.maxval is None:
+            object.__setattr__(self, "input", validate_image(self.input))
+        else:
+            samples = validate_samples(self.input, self.maxval)
+            object.__setattr__(self, "samples", samples)
+            object.__setattr__(self, "input", np.divide(samples, self.maxval, dtype=np.float64))
         target = np.asarray(self.target, dtype=np.float64)
         if not np.all(np.isfinite(target)):
             raise ValueError("target values must be finite")
@@ -243,8 +254,11 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
     """((loss, l_r, l_s, l_m), grad_values, grad_logits) of one pair.
 
     q is the softmax output the lattice's coordinates were built from.
+    The transform runs on every usable CPU; its bits do not depend on
+    that count, and a quantized pair takes the level-table route.
     """
-    pred, backward = transform_vjp(pair.input, lattice)
+    image = pair.input if pair.maxval is None else pair.samples
+    pred, backward = transform_vjp(image, lattice, usable_cpus(), maxval=pair.maxval)
     l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
     # the prediction is not kept, so the backward below can reuse its memory
     del pred

@@ -34,6 +34,8 @@ therefore bit-identical for any thread count.
 
 from __future__ import annotations
 
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -213,18 +215,25 @@ def _transform_block(pix, coords, values):
     return _blend(values.reshape(3, n * n * n), n, _base_index(e0, n), *_weight_pairs(xd))
 
 
-def _level_tables(coords, maxval):
-    """Per-axis cell tables for the maxval + 1 levels k / maxval.
+def _level_cells(coords, maxval):
+    """_locate's (e0, gap, xd) for the maxval + 1 levels k / maxval, each (3, maxval + 1).
+
+    These are the cells the float path locates for the same floats
+    k / maxval, so gathering them by sample gives bit-identical cells.
+    """
+    # int(): maxval + 1 on a uint16 scalar at MAX_MAXVAL would wrap to 0
+    levels = np.arange(int(maxval) + 1, dtype=np.float64) / maxval
+    return _locate(coords, np.tile(levels, (3, 1)))
+
+
+def _level_tables(cells, n):
+    """Per-axis blend tables from the level cells.
 
     Returns offsets (3, maxval + 1), level k's low-corner contribution
     e0 * n^(2 - c) to the flat index, and weights (3, 2, maxval + 1), its
-    pair (1 - xd, xd).  Both come from _locate on the same floats the
-    float path sees, k / maxval.
+    pair (1 - xd, xd).
     """
-    n = coords.shape[1]
-    # int(): maxval + 1 on a uint16 scalar at MAX_MAXVAL would wrap to 0
-    levels = np.arange(int(maxval) + 1, dtype=np.float64) / maxval
-    e0, _, xd = _locate(coords, np.tile(levels, (3, 1)))
+    e0, _, xd = cells
     return e0 * np.array([[n * n], [n], [1]]), _weight_pairs(xd)
 
 
@@ -244,7 +253,12 @@ def check_maxval(maxval) -> None:
         raise ValueError(f"unsupported maxval {maxval}")
 
 
-def _validate_samples(samples, maxval) -> np.ndarray:
+def validate_samples(samples, maxval) -> np.ndarray:
+    """samples as an integer (3, h, w) array of values in [0, maxval], or ValueError.
+
+    The range is scanned only where the dtype can hold values outside
+    it, so uint8 samples at maxval 255 and uint16 at 65535 cost nothing.
+    """
     check_maxval(maxval)
     a = np.asarray(samples)
     if a.dtype.kind not in "ui":
@@ -263,12 +277,42 @@ def row_blocks(height: int, width: int) -> list[tuple[int, int]]:
     return [(r, min(r + rows, height)) for r in range(0, height, rows)]
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_blocks(run, blocks, workers):
-    """run(block) for every block, results in block order, on workers threads."""
-    if workers > 1 and len(blocks) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run, blocks))
-    return [run(block) for block in blocks]
+    """run(block) for every block, results in block order.
+
+    With more than one worker, the calling thread and workers - 1 pool
+    threads take block indices from one shared counter, so the caller
+    does a share of the work instead of waiting on a full pool.  An
+    exception raised in any share reaches the caller.
+    """
+    threads = min(workers, len(blocks))
+    if threads <= 1:
+        return [run(block) for block in blocks]
+    results = [None] * len(blocks)
+    indices = iter(range(len(blocks)))
+    lock = threading.Lock()
+
+    def drain():
+        while True:
+            with lock:
+                i = next(indices, None)
+            if i is None:
+                return
+            results[i] = run(blocks[i])
+
+    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
+        futures = [pool.submit(drain) for _ in range(threads - 1)]
+        drain()
+        for future in futures:
+            future.result()
+    return results
 
 
 def transform_image(
@@ -293,10 +337,10 @@ def transform_image(
         def block_transform(pix):
             return _transform_block(pix, coords, values)
     else:
-        a = _validate_samples(img, maxval)
+        a = validate_samples(img, maxval)
         n = lattice.n_s
         flat = values.reshape(3, n * n * n)
-        offsets, weights = _level_tables(coords, maxval)
+        offsets, weights = _level_tables(_level_cells(coords, maxval), n)
 
         def block_transform(pix):
             return _level_block(pix, offsets, weights, flat, n)
@@ -388,30 +432,47 @@ def backward_pixel(pixel, lattice: Lattice, grad_out) -> LatticeGradients:
     return LatticeGradients(gv.reshape(3, n, n, n), gc, gi.reshape(3))
 
 
-def transform_vjp(img, lattice: Lattice, workers: int = 1):
-    """Forward transform of a float image, and a function for its backward.
+def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None = None):
+    """Forward transform of an image, and a function for its backward.
 
-    Returns (out, backward).  The forward locates each pixel's cell once,
-    per row_blocks block, and keeps only the located cells (e0, gap,
-    xd); backward(grad_output) turns the loss gradient w.r.t. out into
-    LatticeGradients from those same cells.  Table and coordinate
-    gradients are accumulated into per-block buffers that are reduced in
-    block order, so the result does not depend on the number of workers.
+    Returns (out, backward).  img is read as transform_image reads it:
+    floats in [0, 1] with maxval=None, or integer samples in [0, maxval]
+    standing for sample / maxval; both give the same bits.  The forward
+    locates each pixel's cell once, per row_blocks block.  On the float
+    route it keeps the located cells (e0, gap, xd); on the level route
+    it keeps nothing beyond the samples, and the backward gathers the
+    cells again from the per-level tables.  backward(grad_output) turns
+    the loss gradient w.r.t. out into LatticeGradients from those cells.
+    Table and coordinate gradients are accumulated into per-block
+    buffers that are reduced in block order, so the result does not
+    depend on the number of workers.
     """
-    a = validate_image(img)
     coords, values = lattice.coords, lattice.values
     n = lattice.n_s
     flat = values.reshape(3, n * n * n)
+    if maxval is None:
+        a = validate_image(img)
+    else:
+        a = validate_samples(img, maxval)
+        level_cells = _level_cells(coords, maxval)
+        offsets, weights = _level_tables(level_cells, n)
     h, w = a.shape[1], a.shape[2]
-    out = np.empty_like(a)
+    out = np.empty_like(a, dtype=np.float64)
     blocks = row_blocks(h, w)
 
     def forward(block):
         r0, r1 = block
-        e0, gap, xd = _locate(coords, a[:, r0:r1, :].reshape(3, -1))
-        res = _blend(flat, n, _base_index(e0, n), *_weight_pairs(xd))
+        pix = a[:, r0:r1, :].reshape(3, -1)
+        if maxval is None:
+            cells = _locate(coords, pix)
+            e0, _, xd = cells
+            res = _blend(flat, n, _base_index(e0, n), *_weight_pairs(xd))
+        else:
+            # the samples stay in a, so the backward gathers the cells again
+            cells = None
+            res = _level_block(pix, offsets, weights, flat, n)
         out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
-        return e0, gap, xd
+        return cells
 
     located = list(zip(blocks, _map_blocks(forward, blocks, workers)))
 
@@ -421,10 +482,13 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1):
             raise ValueError(f"grad_output shape {g.shape} does not match image {a.shape}")
         if not np.all(np.isfinite(g)):
             raise ValueError("grad_output must be finite")
-        grad_input = np.empty_like(a)
+        grad_input = np.empty_like(a, dtype=np.float64)
 
         def run(item):
             (r0, r1), cells = item
+            if cells is None:
+                pix = a[:, r0:r1, :].reshape(3, -1)
+                cells = tuple(np.take_along_axis(table, pix, axis=1) for table in level_cells)
             gout = g[:, r0:r1, :].reshape(3, -1)
             gv, gc, gi = _backward_block(cells, gout, values)
             grad_input[:, r0:r1, :] = gi.reshape(3, r1 - r0, w)

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_lattice
 
-from nulut import cli, ppm
+from nulut import cli, ppm, transform
 from nulut.cli import cli_main
 from nulut.lattice import Lattice, coordinates_from_logits, identity_lut, uniform_coordinates
 from nulut.lutio import load_checkpoint, load_lattice, save_lattice
@@ -189,7 +189,7 @@ class TestQuantizedApply:
         monkeypatch.setattr(cli, "transform_image", spy)
         outputs = []
         for cpus in (1, 3):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(transform, "usable_cpus", lambda: cpus)
             out_path = tmp_path / f"out{cpus}.ppm"
             assert cli_main(["apply", "--lut", str(lut_path), "--input", str(input_path),
                              "--output", str(out_path)]) == 0
@@ -199,12 +199,12 @@ class TestQuantizedApply:
 
     def test_usable_cpus(self, monkeypatch):
         if hasattr(os, "sched_getaffinity"):
-            assert cli._usable_cpus() == len(os.sched_getaffinity(0))
+            assert transform.usable_cpus() == len(os.sched_getaffinity(0))
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 5)
-        assert cli._usable_cpus() == 5
+        assert transform.usable_cpus() == 5
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert cli._usable_cpus() == 1
+        assert transform.usable_cpus() == 1
 
     def test_out_of_range_table_values_clip_at_write(self, rng, tmp_path, capsys):
         input_path = tmp_path / "in.ppm"
