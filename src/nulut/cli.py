@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data errors (bad
 files, invalid values, diverged training).  All randomness is controlled
-by --seed.  apply transforms on every CPU the process may use; its
-output bytes do not depend on that count.
+by --seed.  apply, fit and train read their inputs as raw samples and
+transform on every CPU the process may use (transform.usable_cpus); the
+bytes they write do not depend on that count.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from .transform import transform_image
 
 FORMAT_MAGIC = "NULUT3D"
 FORMAT_VERSION = 1
+MAX_CUBE_SIZE = 256  # the .cube format's largest LUT_3D_SIZE
 
 # PredictorParams field -> its section name in the file, where they differ
 _FILE_NAMES = {"basis_luts": "h1_weights"}
@@ -180,8 +181,8 @@ def export_cube(lattice: Lattice, n_out: int, path) -> None:
     Grid index k stands for k / (n_out - 1), the transform's quantized
     levels.  Lines run with the red index fastest, as the format requires.
     """
-    if n_out < 2:
-        raise ValueError(f"cube size must be >= 2, got {n_out}")
+    if not 2 <= n_out <= MAX_CUBE_SIZE:
+        raise ValueError(f"cube size must lie in [2, {MAX_CUBE_SIZE}], got {n_out}")
     line = np.arange(n_out**3)
     red = line % n_out
     green = (line // n_out) % n_out

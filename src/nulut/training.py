@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import transform
 from .analysis import check_pair
 from .lattice import (
     Lattice,
@@ -35,7 +36,7 @@ from .predictor import (
 )
 # perfbench's tracer rebinds transform_image and transform_with_grads here by name
 from .transform import transform_image, transform_vjp, transform_with_grads  # noqa: F401
-from .transform import usable_cpus, validate_image, validate_samples
+from .transform import validate_image, validate_samples
 
 
 class TrainingDivergedError(RuntimeError):
@@ -114,7 +115,7 @@ class ImagePair:
         else:
             samples = validate_samples(self.input, self.maxval)
             object.__setattr__(self, "samples", samples)
-            object.__setattr__(self, "input", np.divide(samples, self.maxval, dtype=np.float64))
+            object.__setattr__(self, "input", samples / self.maxval)
         target = np.asarray(self.target, dtype=np.float64)
         if not np.all(np.isfinite(target)):
             raise ValueError("target values must be finite")
@@ -258,7 +259,7 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
     that count, and a quantized pair takes the level-table route.
     """
     image = pair.input if pair.maxval is None else pair.samples
-    pred, backward = transform_vjp(image, lattice, usable_cpus(), maxval=pair.maxval)
+    pred, backward = transform_vjp(image, lattice, transform.usable_cpus(), maxval=pair.maxval)
     l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
     # the prediction is not kept, so the backward below can reuse its memory
     del pred

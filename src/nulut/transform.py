@@ -18,18 +18,23 @@ of the output with respect to the table values, the sampling
 coordinates, and the input colors, so the whole lattice, knot positions
 included, can be fitted by gradient descent.  transform_vjp is the
 training step's single pass: its forward locates each pixel's cell once
-and keeps only the located cells (low knot index, cell width and
-offset), and its backward computes every gradient from those same
-cells, so nothing is located or blended twice.
+and blends it, and its backward computes every gradient from the same
+cells (low knot index, cell width and offset).  On float input the
+forward keeps those cells; on quantized input it keeps only the samples,
+and the backward gathers the cells again from the level tables.  The
+backward dots the output gradient with each corner's three channels
+once, then chains that sum along each axis.
 
 Per-pixel work is independent, so images are processed in row blocks.
 One grid, row_blocks, serves the forward transform, the training pass
 and PPM writing: blocks of at most CHUNK_ROWS rows and about
 CHUNK_PIXELS pixels, so temporaries stay cache-sized on wide images.
-The grid depends only on the image size; worker threads share the
+The grid depends only on the image size.  The calling thread and
+workers - 1 pool threads take blocks from one counter; they share the
 read-only lattice, write disjoint output slices, and keep private
 gradient buffers that are reduced in block order.  Results are
-therefore bit-identical for any thread count.
+therefore bit-identical for any thread count, and usable_cpus is the
+count apply and training use.
 """
 
 from __future__ import annotations
@@ -386,37 +391,44 @@ def _backward_block(cells, gout, values):
     base = _base_index(e0, n)
     wr, wg, wb = pairs = _weight_pairs(xd)
 
-    # corner[i, j, k] holds the (3, p) vertex values at (e_r + i, e_g + j, e_b + k)
-    corner = np.empty((2, 2, 2) + xd.shape)
+    # s[i, j, k] is the output gradient dotted with the vertex values at
+    # (e_r + i, e_g + j, e_b + k): the channel sum every axis below needs
+    s = np.empty((2, 2, 2, xd.shape[1]))
     grad_values = np.zeros((3, n3))
-    for i, j, k in _CORNERS:
-        w = (wr[i] * wg[j]) * wb[k]
-        idx = base + (i * n + j) * n + k
-        corner[i, j, k] = flat.take(idx, axis=1)
-        for c in range(3):
-            grad_values[c] += np.bincount(idx, weights=w * gout[c], minlength=n3)
+    for i in (0, 1):
+        for j in (0, 1):
+            wrg = wr[i] * wg[j]
+            for k in (0, 1):
+                idx = base + ((i * n + j) * n + k)
+                vertex = flat.take(idx, axis=1)
+                vertex *= gout
+                np.sum(vertex, axis=0, out=s[i, j, k])
+                weighted = gout * (wrg * wb[k])
+                for c in range(3):
+                    grad_values[c] += np.bincount(idx, weights=weighted[c], minlength=n3)
 
     # chain through the normalized offsets: the weight derivative along one
-    # axis pairs the other two axes' weights with the on-axis vertex delta
-    grad_coords = np.zeros((3, n))
-    grad_input = np.empty_like(xd)
+    # axis pairs the other two axes' weights with the on-axis delta of s.
+    # That sum over the cell width is the input gradient; the cell's low
+    # knot takes -(1 - xd) times it and its high knot -xd times it
+    grad_coords = np.empty((3, n))
+    grad_input = np.zeros_like(xd)
     for axis in range(3):
         w_u, w_v = (pairs[a] for a in range(3) if a != axis)
-        lo, hi = np.moveaxis(corner, axis, 0)
-        g_axis = np.zeros(xd.shape[1])
+        lo, hi = np.moveaxis(s, axis, 0)
+        g_axis = grad_input[axis]
         for u in (0, 1):
             for v in (0, 1):
-                w_off = w_u[u] * w_v[v]
-                for c in range(3):
-                    g_axis += gout[c] * (w_off * (hi[u, v, c] - lo[u, v, c]))
-        gx0 = g_axis * (-(1.0 - xd[axis]) / gap[axis])
-        gx1 = g_axis * (-xd[axis] / gap[axis])
+                term = hi[u, v] - lo[u, v]
+                term *= w_u[u] * w_v[v]
+                g_axis += term
+        g_axis /= gap[axis]
         grad_coords[axis] = np.bincount(
             np.concatenate((e0[axis], e0[axis] + 1)),
-            weights=np.concatenate((gx0, gx1)),
+            weights=(pairs[axis] * g_axis).ravel(),
             minlength=n,
         )
-        grad_input[axis] = g_axis / gap[axis]
+    np.negative(grad_coords, out=grad_coords)
     return grad_values, grad_coords, grad_input
 
 
@@ -456,6 +468,8 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
         a = validate_samples(img, maxval)
         level_cells = _level_cells(coords, maxval)
         offsets, weights = _level_tables(level_cells, n)
+        # flat offsets of each channel's row in the (3, maxval + 1) tables
+        level_rows = np.array([[0], [1], [2]]) * (int(maxval) + 1)
     h, w = a.shape[1], a.shape[2]
     out = np.empty_like(a, dtype=np.float64)
     blocks = row_blocks(h, w)
@@ -488,7 +502,8 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
             (r0, r1), cells = item
             if cells is None:
                 pix = a[:, r0:r1, :].reshape(3, -1)
-                cells = tuple(np.take_along_axis(table, pix, axis=1) for table in level_cells)
+                idx = pix + level_rows
+                cells = tuple(table.take(idx) for table in level_cells)
             gout = g[:, r0:r1, :].reshape(3, -1)
             gv, gc, gi = _backward_block(cells, gout, values)
             grad_input[:, r0:r1, :] = gi.reshape(3, r1 - r0, w)

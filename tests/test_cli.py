@@ -7,13 +7,13 @@ import pytest
 
 from conftest import random_lattice
 
-from nulut import cli, ppm, transform
+from nulut import cli, ppm, training, transform
 from nulut.cli import cli_main
 from nulut.lattice import Lattice, coordinates_from_logits, identity_lut, uniform_coordinates
 from nulut.lutio import load_checkpoint, load_lattice, save_lattice
 from nulut.ppm import read_image, write_image
 from nulut.predictor import extract_features, init_params, predict_logits, predict_values
-from nulut.transform import CHUNK_PIXELS, transform_image
+from nulut.transform import CHUNK_PIXELS, row_blocks, transform_image, transform_vjp
 from nulut.analysis import psnr
 from nulut.bench import run_bench
 from nulut.training import LossWeights, TrainConfig, train_predictor
@@ -245,6 +245,55 @@ class TestQuantizedApply:
         assert not (tmp_path / "o.ppm").exists()
 
 
+class TestTrainingWorkers:
+    """fit and train write the same bytes whatever transform.usable_cpus says."""
+
+    @pytest.fixture
+    def pair_paths(self, rng, tmp_path):
+        # 200 x 300 pixels make four row blocks, so three workers all get one
+        h, w = 200, 300
+        assert len(row_blocks(h, w)) == 4
+        img = rng.random((3, h, w))
+        paths = {}
+        for maxval in (255, 65535):
+            paths[maxval] = (tmp_path / f"in{maxval}.ppm", tmp_path / f"target{maxval}.ppm")
+            write_image(img, paths[maxval][0], maxval=maxval)
+            write_image(img**0.6, paths[maxval][1], maxval=maxval)
+        return paths
+
+    def run_at(self, monkeypatch, tmp_path, argv):
+        """The checkpoint and history bytes of argv at 1 and at 3 usable CPUs."""
+        workers_seen = []
+
+        def spy(*args, **kwargs):
+            workers_seen.append(args[2])
+            return transform_vjp(*args, **kwargs)
+
+        monkeypatch.setattr(training, "transform_vjp", spy)
+        outputs = []
+        for cpus in (1, 3):
+            monkeypatch.setattr(transform, "usable_cpus", lambda: cpus)
+            out, history = tmp_path / f"run{cpus}.nulut", tmp_path / f"run{cpus}.csv"
+            assert cli_main([*argv, "--out", str(out), "--history", str(history)]) == 0
+            outputs.append((out.read_bytes(), history.read_bytes()))
+        assert set(workers_seen) == {1, 3}
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("maxval", [255, 65535])
+    def test_fit(self, pair_paths, monkeypatch, tmp_path, capsys, maxval):
+        input_path, target_path = pair_paths[maxval]
+        self.run_at(monkeypatch, tmp_path, [
+            "fit", "--input", str(input_path), "--target", str(target_path),
+            "--nsize", "5", "--steps", "3", "--adaptive", "--freeze", "1"])
+
+    def test_train(self, pair_paths, monkeypatch, tmp_path, capsys):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("".join(f"{a}\t{b}\n" for a, b in pair_paths.values()))
+        self.run_at(monkeypatch, tmp_path, [
+            "train", "--pairs-manifest", str(manifest), "--nsize", "5", "--m", "2",
+            "--epochs", "2", "--freeze", "1", "--batch", "2"])
+
+
 class TestZeroLengthRuns:
     def assert_one_line_error(self, capsys, expected):
         err = capsys.readouterr().err
@@ -456,6 +505,18 @@ class TestExportCubeCommand:
             ["export-cube", "--lut", str(lut_path), "--size", "4", "--out", str(out)]
         ) == 0
         assert out.read_text().startswith("LUT_3D_SIZE 4")
+
+    @pytest.mark.parametrize("size", [257, 5000, 65537])
+    def test_size_above_the_cube_limit_exits_2(self, tmp_path, capsys, size):
+        coords = uniform_coordinates(3)
+        lut_path = tmp_path / "l.nulut"
+        save_lattice(Lattice(coords, identity_lut(coords)), lut_path)
+        out = tmp_path / "l.cube"
+        assert cli_main(
+            ["export-cube", "--lut", str(lut_path), "--size", str(size), "--out", str(out)]
+        ) == 2
+        assert capsys.readouterr().err == f"error: cube size must lie in [2, 256], got {size}\n"
+        assert not out.exists()
 
 
 class TestBenchCommand:

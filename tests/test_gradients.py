@@ -274,3 +274,50 @@ class TestLocatedOnceProperties:
         assert out2.tobytes() == out1.tobytes()
         for name in ("grad_values", "grad_coords", "grad_input"):
             assert getattr(grads2, name).tobytes() == getattr(grads1, name).tobytes()
+
+
+def drawn_samples(case, maxval):
+    """case's lattice and integer samples in the (h, w, 3) memory layout
+    read_ppm(raw=True) returns, with levels 0 and maxval present."""
+    n, h, w, seed = case
+    q, lattice, _ = drawn_case(*case)
+    rng = np.random.default_rng(seed)
+    dtype = np.uint8 if maxval < 256 else np.uint16
+    raster = rng.integers(0, maxval + 1, size=(h, w, 3)).astype(dtype)
+    raster[0, 0] = 0
+    raster[-1, -1] = maxval
+    return q, lattice, raster.transpose(2, 0, 1)
+
+
+class TestLevelRouteProperties:
+    """Integer samples with maxval give the bits of the floats sample / maxval."""
+
+    @PROPERTY_SETTINGS
+    @given(CASES, st.sampled_from([1, 255, 1023, 65535]))
+    @example(WIDE_CASE, 255)
+    def test_transform_vjp_matches_float_route(self, case, maxval):
+        _, lattice, samples = drawn_samples(case, maxval)
+        grad_out = np.random.default_rng(case[3]).normal(size=samples.shape)
+        ref_out, ref_backward = transform_vjp(samples / maxval, lattice)
+        ref = ref_backward(grad_out)
+        for workers in (1, 2):
+            out, backward = transform_vjp(samples, lattice, workers, maxval=maxval)
+            grads = backward(grad_out)
+            assert out.tobytes() == ref_out.tobytes()
+            for name in ("grad_values", "grad_coords", "grad_input"):
+                assert getattr(grads, name).tobytes() == getattr(ref, name).tobytes()
+
+    @PROPERTY_SETTINGS
+    @given(CASES, st.sampled_from([1, 255, 1023, 65535]))
+    @example(WIDE_CASE, 255)
+    def test_training_core_matches_float_pair(self, case, maxval):
+        q, lattice, samples = drawn_samples(case, maxval)
+        target = np.sqrt(samples / maxval)
+        weights = LossWeights(lambda_s=0.01, lambda_m=1.0)
+        got = _lattice_loss_and_grads(lattice, q, ImagePair(samples, target, maxval), weights)
+        ref = _lattice_loss_and_grads(
+            lattice, q, ImagePair(samples.astype(np.float64) / maxval, target), weights
+        )
+        assert got[0] == ref[0]
+        assert got[1].tobytes() == ref[1].tobytes()
+        assert got[2].tobytes() == ref[2].tobytes()

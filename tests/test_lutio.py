@@ -311,6 +311,13 @@ class TestExportCube:
         with pytest.raises(ValueError):
             export_cube(random_lattice(rng, 3), 1, tmp_path / "x.cube")
 
+    @pytest.mark.parametrize("n_out", [257, 5000, 65537])
+    def test_rejects_size_above_the_cube_limit(self, rng, tmp_path, n_out):
+        path = tmp_path / "x.cube"
+        with pytest.raises(ValueError, match=rf"cube size must lie in \[2, 256\], got {n_out}"):
+            export_cube(random_lattice(rng, 3), n_out, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("n_out", [2, 17, 33])
     def test_bytes_match_float_grid_route(self, rng, tmp_path, n_out):
         lattice = random_lattice(rng, 9, logit_scale=2.0, value_noise=0.05)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from nulut.ppm import read_image, read_ppm, write_image
 from nulut.lattice import identity_lut, uniform_coordinates
 from nulut.training import (
     AdamState,
@@ -347,6 +348,30 @@ class TestImagePair:
         pair = ImagePair(np.ones((3, 1, 2), dtype=np.float32), [[[0, 2]]] * 3)
         assert pair.input.dtype == np.float64 and pair.target.dtype == np.float64
         assert pair.target.shape == (3, 1, 2)
+        assert pair.maxval is None and pair.samples is None
+
+    @pytest.mark.parametrize("maxval,dtype", [(255, np.uint8), (1023, np.uint16),
+                                              (65535, np.uint16)])
+    def test_quantized_input_keeps_samples_and_read_image_floats(self, tmp_path, maxval, dtype):
+        rng = np.random.default_rng(5)
+        path = tmp_path / "in.ppm"
+        write_image(rng.random((3, 4, 5)), path, maxval=maxval)
+        samples, _ = read_ppm(path, raw=True)
+        pair = ImagePair(samples, np.zeros((3, 4, 5)), maxval=maxval)
+        assert pair.samples is samples and pair.samples.dtype == dtype
+        assert pair.maxval == maxval
+        assert pair.input.dtype == np.float64
+        assert pair.input.tobytes() == read_image(path).tobytes()
+
+    @pytest.mark.parametrize("samples,maxval,message", [
+        (np.full((3, 2, 2), 256, dtype=np.uint16), 255, r"\[0, 255\]"),
+        (np.full((3, 2, 2), -1, dtype=np.int32), 255, r"\[0, 255\]"),
+        (np.zeros((3, 2, 2)), 255, "integers"),
+        (np.zeros((3, 2, 2), dtype=np.uint8), 0, "unsupported maxval 0"),
+    ])
+    def test_quantized_input_checked(self, samples, maxval, message):
+        with pytest.raises(ValueError, match=message):
+            ImagePair(samples, np.zeros((3, 2, 2)), maxval=maxval)
 
 
 class TestDirectParameterGradients:

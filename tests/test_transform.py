@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from nulut.lattice import (
 from nulut.transform import (
     CHUNK_PIXELS,
     CHUNK_ROWS,
+    _map_blocks,
     _transform_block,
     lookup,
     lookup_with_count,
@@ -275,3 +277,57 @@ class TestQuantizedLevels:
         lattice = random_lattice(rng, 3)
         with pytest.raises(ValueError, match="maxval"):
             transform_image(np.zeros((3, 2, 2), dtype=np.uint8), lattice, maxval=maxval)
+
+
+class TestMapBlocks:
+    """The calling thread drains block indices next to workers - 1 pool threads."""
+
+    def test_results_in_block_order_with_more_workers_than_blocks(self):
+        assert _map_blocks(lambda b: b * b, list(range(5)), 8) == [0, 1, 4, 9, 16]
+
+    def test_calling_thread_runs_a_share(self):
+        caller = threading.get_ident()
+        caller_ran = threading.Event()
+        ran_on = []
+
+        def run(block):
+            ran_on.append(threading.get_ident())
+            if threading.get_ident() == caller:
+                caller_ran.set()
+            else:
+                # a pool thread cannot drain every block before the caller starts
+                caller_ran.wait(timeout=10)
+            return -block
+
+        assert _map_blocks(run, list(range(6)), 2) == [0, -1, -2, -3, -4, -5]
+        assert caller in ran_on and len(ran_on) == 6
+
+    def test_error_in_the_callers_share_reaches_the_caller(self):
+        caller = threading.get_ident()
+        caller_ran = threading.Event()
+
+        def run(block):
+            if threading.get_ident() == caller:
+                caller_ran.set()
+                raise RuntimeError("caller's share")
+            caller_ran.wait(timeout=10)
+            return block
+
+        with pytest.raises(RuntimeError, match="caller's share"):
+            _map_blocks(run, list(range(4)), 2)
+        assert caller_ran.is_set()
+
+    def test_error_in_a_pool_threads_share_reaches_the_caller(self):
+        caller = threading.get_ident()
+        pool_ran = threading.Event()
+
+        def run(block):
+            if threading.get_ident() != caller:
+                pool_ran.set()
+                raise RuntimeError("pool thread's share")
+            pool_ran.wait(timeout=10)
+            return block
+
+        with pytest.raises(RuntimeError, match="pool thread's share"):
+            _map_blocks(run, list(range(4)), 3)
+        assert pool_ran.is_set()
