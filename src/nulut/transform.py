@@ -403,9 +403,9 @@ def _backward_block(cells, gout, values):
                 vertex = flat.take(idx, axis=1)
                 vertex *= gout
                 np.sum(vertex, axis=0, out=s[i, j, k])
-                weighted = gout * (wrg * wb[k])
+                w = wrg * wb[k]
                 for c in range(3):
-                    grad_values[c] += np.bincount(idx, weights=weighted[c], minlength=n3)
+                    grad_values[c] += np.bincount(idx, weights=w * gout[c], minlength=n3)
 
     # chain through the normalized offsets: the weight derivative along one
     # axis pairs the other two axes' weights with the on-axis delta of s.
@@ -501,9 +501,9 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
         def run(item):
             (r0, r1), cells = item
             if cells is None:
-                pix = a[:, r0:r1, :].reshape(3, -1)
-                idx = pix + level_rows
+                idx = a[:, r0:r1, :].reshape(3, -1) + level_rows
                 cells = tuple(table.take(idx) for table in level_cells)
+                del idx
             gout = g[:, r0:r1, :].reshape(3, -1)
             gv, gc, gi = _backward_block(cells, gout, values)
             grad_input[:, r0:r1, :] = gi.reshape(3, r1 - r0, w)
