@@ -5,12 +5,13 @@ read_ppm reads the same MAX_MAXVAL but reports a bad header by offset.
 
 Samples map to [0, 1] as value / maxval on read, or stay integers on
 request (apply, fit and train read their inputs that way, for the
-transform's level tables); writing rounds half up and clips.  As the format requires, a
-sample takes one byte when maxval is below 256 and two big-endian bytes
-otherwise.  Parse failures report the byte offset where the reader gave
-up.  Writing rounds straight into the output raster over the same row
-blocks the transform uses (transform.row_blocks), so its temporaries
-stay cache-sized on large frames.  It runs on one thread even when
+transform's level tables); writing rounds half up and clips.  As the
+format requires, a sample takes one byte when maxval is below 256 and
+two big-endian bytes otherwise.  Parse failures report the byte offset
+where the reader gave up.  Writing rounds straight into the output
+raster over the same row blocks the transform uses
+(transform.row_blocks), so its temporaries stay cache-sized on large
+frames.  It runs on one thread even when
 `nulut apply` transforms on every usable CPU; the bytes written do not
 depend on that count.
 """
