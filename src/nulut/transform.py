@@ -221,7 +221,7 @@ def _transform_block(pix, coords, values):
 
 
 def _level_cells(coords, maxval):
-    """_locate's (e0, gap, xd) for the maxval + 1 levels k / maxval, each (3, maxval + 1).
+    """_locate's (e0, gap, xd) for the levels k / maxval, each (3, maxval + 1).
 
     These are the cells the float path locates for the same floats
     k / maxval, so gathering them by sample gives bit-identical cells.
@@ -503,6 +503,7 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
             if cells is None:
                 idx = a[:, r0:r1, :].reshape(3, -1) + level_rows
                 cells = tuple(table.take(idx) for table in level_cells)
+                # freed before the backward's own temporaries peak
                 del idx
             gout = g[:, r0:r1, :].reshape(3, -1)
             gv, gc, gi = _backward_block(cells, gout, values)

@@ -250,7 +250,7 @@ class TestTrainingWorkers:
 
     @pytest.fixture
     def pair_paths(self, rng, tmp_path):
-        # 200 x 300 pixels make four row blocks, so three workers all get one
+        # 200 x 300 pixels make four row blocks, more than the three workers
         h, w = 200, 300
         assert len(row_blocks(h, w)) == 4
         img = rng.random((3, h, w))
