@@ -1,10 +1,10 @@
 """Command-line interface: fit, apply, train, aeh, bench, export-cube.
 
-Exit codes: 0 on success, 1 on usage errors, 2 on data errors (bad
-files, invalid values, diverged training).  All randomness is controlled
-by --seed.  apply, fit and train read their inputs as raw samples and
-transform on every CPU the process may use (transform.usable_cpus); the
-bytes they write do not depend on that count.
+Exit codes: 0 on success, 1 on usage errors, 2 on data errors (bad files,
+invalid values, diverged training, out of memory).  All randomness is
+controlled by --seed.  apply, fit and train read their inputs as raw
+samples and transform on every CPU the process may use
+(transform.usable_cpus); the bytes they write do not depend on that count.
 """
 
 from __future__ import annotations
@@ -177,7 +177,7 @@ def _cmd_train(args) -> int:
         shared=args.shared, batch_size=args.batch,
     )
     # reference lattice: the prediction for the first training input
-    lattice = _predicted_lattice(pairs[0].input, params)
+    lattice = _predicted_lattice(pairs[0].image(), params)
     lutio.save_lattice(lattice, args.out, predictor=params)
     if args.history:
         training.write_history_csv(history, args.history)
@@ -189,7 +189,7 @@ def _cmd_train(args) -> int:
 def _cmd_aeh(args) -> int:
     pair = _load_pair(args.input, args.target)
     hist = analysis.accumulative_error_histogram(
-        pair.input, pair.target, n_bin=args.bins
+        pair.image(), pair.target, n_bin=args.bins
     )
     coords = lutio.load_lattice(args.lut).coords if args.lut else None
     written = analysis.export_diagnostics(coords, hist, args.out_csv, svg=args.svg)
@@ -248,7 +248,7 @@ def cli_main(argv) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, training.TrainingDivergedError) as exc:
+    except (ValueError, OSError, MemoryError, training.TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

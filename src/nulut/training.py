@@ -57,10 +57,9 @@ class LossWeights:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The schedule both regimes share; Adam's betas and eps are AdaInt's, the ADAM_* constants."""
+
     learning_rate: float = 1e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 100
     freeze_interval_epochs: int = 5  # interval head frozen for this warmup
     interval_lr_decay: float = 0.1  # applied to the interval head after unfreezing
@@ -81,28 +80,23 @@ class TrainConfig:
             raise ValueError(
                 f"freeze_interval_epochs must lie in [0, epochs], got {self.freeze_interval_epochs}"
             )
-        if not (0.0 <= self.adam_beta1 < 1.0 and 0.0 <= self.adam_beta2 < 1.0):
-            raise ValueError(f"betas must lie in [0, 1), got {self.adam_beta1}, {self.adam_beta2}")
-        if not self.adam_eps > 0:
-            raise ValueError(f"adam_eps must be positive, got {self.adam_eps}")
 
 
 @dataclass(frozen=True)
 class ImagePair:
-    """A training pair, checked once here and stored as arrays.
+    """A training pair, checked once here and holding what the transform reads.
 
-    The input must be a (3, h, w) image of finite values in [0, 1]; the
-    target must have the same shape and finite values.  With an integer
-    maxval, input holds integer samples in [0, maxval] instead: the pair
-    keeps them as samples, and input becomes the floats sample / maxval
-    that read_image gives, so training can locate cells through the
-    transform's per-level tables.  Without maxval, samples is None.
+    The input must be a (3, h, w) image of finite values in [0, 1],
+    stored as float64; the target must have the same shape and finite
+    values.  With an integer maxval, input holds integer samples in
+    [0, maxval] instead, kept as the caller's array, so training locates
+    cells through the transform's per-level tables.  image() gives the
+    input as floats either way.
     """
 
     input: np.ndarray
     target: np.ndarray
     maxval: int | None = None
-    samples: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if np.shape(self.input) != np.shape(self.target):
@@ -113,13 +107,15 @@ class ImagePair:
         if self.maxval is None:
             object.__setattr__(self, "input", validate_image(self.input))
         else:
-            samples = validate_samples(self.input, self.maxval)
-            object.__setattr__(self, "samples", samples)
-            object.__setattr__(self, "input", samples / self.maxval)
+            object.__setattr__(self, "input", validate_samples(self.input, self.maxval))
         target = np.asarray(self.target, dtype=np.float64)
         if not np.all(np.isfinite(target)):
             raise ValueError("target values must be finite")
         object.__setattr__(self, "target", target)
+
+    def image(self) -> np.ndarray:
+        """The input as floats in [0, 1]; a quantized pair divides on every call."""
+        return self.input if self.maxval is None else self.input / self.maxval
 
 
 HISTORY_COLUMNS = ("step", "loss", "l_r", "l_s", "l_m")
@@ -198,6 +194,11 @@ def total_loss(pred, target, table, weights: LossWeights) -> float:
     )
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
 @dataclass
 class AdamState:
     """First/second moment estimates and per-parameter step counts."""
@@ -227,16 +228,16 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
         t = state.t[name]
         m = state.m[name]
         v = state.v[name]
-        m *= config.adam_beta1
-        m += (1.0 - config.adam_beta1) * g
-        v *= config.adam_beta2
-        v += (1.0 - config.adam_beta2) * (g * g)
-        m_hat = m / (1.0 - config.adam_beta1**t)
-        v_hat = v / (1.0 - config.adam_beta2**t)
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
         lr = config.learning_rate
         if lr_scales and name in lr_scales:
             lr *= lr_scales[name]
-        updated[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+        updated[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return updated
 
 
@@ -258,8 +259,7 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
     The transform runs on every usable CPU; its bits do not depend on
     that count, and a quantized pair takes the level-table route.
     """
-    image = pair.input if pair.maxval is None else pair.samples
-    pred, backward = transform_vjp(image, lattice, transform.usable_cpus(), maxval=pair.maxval)
+    pred, backward = transform_vjp(pair.input, lattice, transform.usable_cpus(), maxval=pair.maxval)
     l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
     # the prediction is not kept, so the backward below can reuse its memory
     del pred
@@ -363,7 +363,7 @@ def predictor_loss_and_grads(
     params: PredictorParams, pair: ImagePair, weights: LossWeights
 ):
     """Loss terms and gradients w.r.t. every head parameter for one pair."""
-    return _predictor_loss_and_grads(params, pair, extract_features(pair.input), weights)
+    return _predictor_loss_and_grads(params, pair, extract_features(pair.image()), weights)
 
 
 def _predictor_loss_and_grads(params, pair, features, weights):
@@ -409,7 +409,7 @@ def train_predictor(
         return _predictor_loss_and_grads(replace(template, **arrays), pair, features, weights)
 
     # the inputs never change, so each pair's features are extracted once
-    items = [(pair, extract_features(pair.input)) for pair in pairs]
+    items = [(pair, extract_features(pair.image())) for pair in pairs]
     batches = [items[start : start + batch_size] for start in range(0, len(items), batch_size)]
     arrays, history = _optimize(
         {name: getattr(template, name) for name in PARAM_ARRAYS},

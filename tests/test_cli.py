@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import inspect
 import os
 
@@ -7,7 +8,7 @@ import pytest
 
 from conftest import random_lattice
 
-from nulut import cli, ppm, training, transform
+from nulut import bench, cli, ppm, training, transform
 from nulut.cli import cli_main
 from nulut.lattice import Lattice, coordinates_from_logits, identity_lut, uniform_coordinates
 from nulut.lutio import load_checkpoint, load_lattice, save_lattice
@@ -408,6 +409,32 @@ class TestBoundaryErrors:
         assert capsys.readouterr().err == (
             "error: unexpected end of file, expected 'coords'\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["fit", "train", "bench"])
+    def test_out_of_memory_exits_2(self, gamma_pair, tmp_path, capsys, monkeypatch, command):
+        # raised, never allocated: an overcommitting host could grant the allocation and page
+        message = "Unable to allocate 179. GiB for an array with shape (3, 2000, 2000, 2000)"
+
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        out = tmp_path / "o.nulut"
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{gamma_pair[0]}\t{gamma_pair[1]}\n")
+        module, name, argv = {
+            "fit": (training, "fit_direct", ["fit", "--input", str(gamma_pair[0]),
+                                             "--target", str(gamma_pair[1]), "--nsize", "2000",
+                                             "--steps", "1", "--adaptive", "--out", str(out)]),
+            "train": (training, "train_predictor", ["train", "--pairs-manifest", str(manifest),
+                                                    "--nsize", "3", "--m", "100000",
+                                                    "--epochs", "1", "--out", str(out)]),
+            "bench": (bench, "run_bench", ["bench", "--sizes", "100000x100000"]),
+        }[command]
+        # wraps keeps the signature the parser reads train's --batch default from
+        monkeypatch.setattr(module, name, functools.wraps(getattr(module, name))(refuse))
+        assert cli_main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
 
 
