@@ -10,7 +10,6 @@ samples and transform on every CPU the process may use
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 
 import numpy as np
@@ -69,8 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
     train.add_argument("--m", type=int, required=True)
     train.add_argument("--epochs", type=int, required=True)
     train.add_argument("--freeze", type=int, default=config.freeze_interval_epochs)
-    train.add_argument("--batch", type=int, default=inspect.signature(
-        training.train_predictor).parameters["batch_size"].default)
+    train.add_argument("--batch", type=int, default=training.DEFAULT_BATCH_SIZE)
 
     aeh = sub.add_parser("aeh", help="accumulated error histogram diagnostics")
     aeh.add_argument("--input", required=True)

@@ -6,6 +6,13 @@ every lattice axis) and a squared hinge keeping each output channel
 non-decreasing along its own axis.  The interval parameters are frozen
 for a warmup period and afterwards trained at a decayed learning rate,
 which keeps the knot layout stable while the table values settle.
+
+A step's cost sits as much on the table side as on the pixel side: a
+predictor updates m + 1 tables' worth of parameters whatever the image
+size.  So a step whose row blocks leave a usable CPU idle runs the two
+regularizers on the table alongside the pixel side (transform,
+reconstruction loss, backward), and Adam works through each parameter
+in cache-sized chunks, in place.  Neither changes a bit of the results.
 """
 
 from __future__ import annotations
@@ -214,30 +221,56 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
 
     Parameters absent from grads are left untouched (their moments do not
     advance, so a frozen group resumes cleanly when unfrozen).  Returns
-    the updated parameter dict; state is advanced in place.
+    the updated parameter dict; state is advanced in place.  The moments
+    and the new parameters are written in CHUNK_PIXELS-element chunks
+    through two chunk-sized buffers, with the whole-array expressions'
+    operations in their order, so no full-size temporary is made and the
+    bits are those of the whole-array update.
     """
     updated = dict(params)
+    # no larger than the largest parameter, so small fits keep small buffers
+    chunk = min(transform.CHUNK_PIXELS, max([1, *map(np.size, grads.values())]))
+    scratch = np.empty((2, chunk))
     for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite gradient for '{name}'")
+        shape = np.shape(params[name])
         if name not in state.m:
-            state.m[name] = np.zeros_like(params[name])
-            state.v[name] = np.zeros_like(params[name])
+            # C-ordered, so the flat views below write through to the moments
+            state.m[name] = np.zeros(shape)
+            state.v[name] = np.zeros(shape)
             state.t[name] = 0
         state.t[name] += 1
         t = state.t[name]
-        m = state.m[name]
-        v = state.v[name]
-        m *= ADAM_BETA1
-        m += (1.0 - ADAM_BETA1) * g
-        v *= ADAM_BETA2
-        v += (1.0 - ADAM_BETA2) * (g * g)
-        m_hat = m / (1.0 - ADAM_BETA1**t)
-        v_hat = v / (1.0 - ADAM_BETA2**t)
+        c1 = 1.0 - ADAM_BETA1**t
+        c2 = 1.0 - ADAM_BETA2**t
         lr = config.learning_rate
         if lr_scales and name in lr_scales:
             lr *= lr_scales[name]
-        updated[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        updated[name] = np.empty(shape)
+        # a gradient broadcasts against its parameter, as in the whole-array form
+        flat = (np.ravel(np.broadcast_to(g, shape)), np.ravel(params[name]),
+                state.m[name].reshape(-1), state.v[name].reshape(-1), updated[name].reshape(-1))
+        for start in range(0, flat[0].size, chunk):
+            gc, pc, mc, vc, out = (x[start : start + chunk] for x in flat)
+            a, b = scratch[:, : gc.size]
+            # m = b1*m + (1 - b1)*g
+            mc *= ADAM_BETA1
+            np.multiply(gc, 1.0 - ADAM_BETA1, out=a)
+            mc += a
+            # v = b2*v + (1 - b2)*(g*g)
+            vc *= ADAM_BETA2
+            np.multiply(gc, gc, out=a)
+            a *= 1.0 - ADAM_BETA2
+            vc += a
+            # new = p - lr*(m/c1) / (sqrt(v/c2) + eps)
+            np.divide(mc, c1, out=a)
+            a *= lr
+            np.divide(vc, c2, out=b)
+            np.sqrt(b, out=b)
+            b += ADAM_EPS
+            a /= b
+            np.subtract(pc, a, out=out)
     return updated
 
 
@@ -256,18 +289,39 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
     """((loss, l_r, l_s, l_m), grad_values, grad_logits) of one pair.
 
     q is the softmax output the lattice's coordinates were built from.
-    The transform runs on every usable CPU; its bits do not depend on
-    that count, and a quantized pair takes the level-table route.
+    Two jobs that only read the lattice run through transform.map_blocks:
+    the pixel side (the transform on every usable CPU, and its backward)
+    and the two table regularizers.  They run side by side when the
+    image has fewer row blocks than there are usable CPUs, and in order
+    otherwise, where the pixel side keeps every CPU busy itself.  No
+    result depends on the CPU count, and a quantized pair takes the
+    level-table route.
     """
-    pred, backward = transform_vjp(pair.input, lattice, transform.usable_cpus(), maxval=pair.maxval)
-    l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
-    # the prediction is not kept, so the backward below can reuse its memory
-    del pred
-    l_s, g_s = smoothness_loss_grad(lattice.values)
-    l_m, g_m = monotonicity_loss_grad(lattice.values)
+    workers = transform.usable_cpus()
+
+    def pixel_side():
+        pred, backward = transform_vjp(pair.input, lattice, workers, maxval=pair.maxval)
+        l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
+        # the prediction is not kept, so the backward below can reuse its memory
+        del pred
+        return l_r, backward(g_pred)
+
+    def regularizers():
+        return smoothness_loss_grad(lattice.values), monotonicity_loss_grad(lattice.values)
+
+    # beside row blocks that fill every CPU, a third thread measured slower
+    # and larger (one more malloc arena), so the jobs then run in order
+    idle_cpu = len(transform.row_blocks(*pair.input.shape[1:])) < workers
+    (l_r, lat_grads), ((l_s, g_s), (l_m, g_m)) = transform.map_blocks(
+        lambda job: job(), [pixel_side, regularizers], 2 if idle_cpu else 1
+    )
     loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
-    lat_grads = backward(g_pred)
-    g_table = lat_grads.grad_values + weights.lambda_s * g_s + weights.lambda_m * g_m
+    # (grad_values + lambda_s*g_s) + lambda_m*g_m, written into arrays this step owns
+    g_table = lat_grads.grad_values
+    g_s *= weights.lambda_s
+    g_table += g_s
+    g_m *= weights.lambda_m
+    g_table += g_m
     g_logits = coordinate_logit_vjp(q, lat_grads.grad_coords)
     return (loss, l_r, l_s, l_m), g_table, g_logits
 
@@ -297,9 +351,10 @@ def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig, interv
                 parts += item_parts
                 for name in acc:
                     acc[name] += grads[name]
-            for name in acc:
-                acc[name] /= len(batch)
-            parts /= len(batch)
+            if len(batch) > 1:
+                for name in acc:
+                    acc[name] /= len(batch)
+                parts /= len(batch)
             if initial_loss is None:
                 initial_loss = parts[0]
             _check_loss(parts[0], initial_loss, len(history))
@@ -384,6 +439,9 @@ def _predictor_loss_and_grads(params, pair, features, weights):
     return parts, grads
 
 
+DEFAULT_BATCH_SIZE = 1
+
+
 def train_predictor(
     pairs: list[ImagePair],
     n_s: int,
@@ -391,7 +449,7 @@ def train_predictor(
     config: TrainConfig,
     weights: LossWeights = LossWeights(),
     shared: bool = False,
-    batch_size: int = 1,
+    batch_size: int = DEFAULT_BATCH_SIZE,
 ):
     """Train the predictor heads end to end through the transform.
 

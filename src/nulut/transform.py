@@ -289,8 +289,10 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_blocks(run, blocks, workers):
+def map_blocks(run, blocks, workers):
     """run(block) for every block, results in block order.
+
+    A block is whatever run takes: a row range here, a job in training.
 
     With more than one worker, the calling thread and workers - 1 pool
     threads take block indices from one shared counter, so the caller
@@ -358,7 +360,7 @@ def transform_image(
         res = block_transform(a[:, r0:r1, :].reshape(3, -1))
         out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
 
-    _map_blocks(run, row_blocks(h, w), workers)
+    map_blocks(run, row_blocks(h, w), workers)
     return out
 
 
@@ -488,7 +490,7 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
         out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
         return cells
 
-    located = list(zip(blocks, _map_blocks(forward, blocks, workers)))
+    located = list(zip(blocks, map_blocks(forward, blocks, workers)))
 
     def backward(grad_output) -> LatticeGradients:
         g = np.asarray(grad_output, dtype=np.float64)
@@ -512,7 +514,7 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
 
         grad_values = np.zeros((3, n * n * n))
         grad_coords = np.zeros((3, n))
-        for gv, gc in _map_blocks(run, located, workers):
+        for gv, gc in map_blocks(run, located, workers):
             grad_values += gv
             grad_coords += gc
         return LatticeGradients(grad_values.reshape(3, n, n, n), grad_coords, grad_input)

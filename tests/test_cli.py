@@ -1,5 +1,4 @@
 import dataclasses
-import functools
 import inspect
 import os
 
@@ -431,11 +430,33 @@ class TestBoundaryErrors:
                                                     "--epochs", "1", "--out", str(out)]),
             "bench": (bench, "run_bench", ["bench", "--sizes", "100000x100000"]),
         }[command]
-        # wraps keeps the signature the parser reads train's --batch default from
-        monkeypatch.setattr(module, name, functools.wraps(getattr(module, name))(refuse))
+        monkeypatch.setattr(module, name, refuse)
         assert cli_main(argv) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists()
+
+
+class TestWrappedTrainPredictor:
+    """The parser takes --batch's default from a constant, not train_predictor's signature."""
+
+    def test_bare_wrapper_keeps_every_subcommand_working(self, gamma_pair, tmp_path,
+                                                         monkeypatch, capsys):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{gamma_pair[0]}\t{gamma_pair[1]}\n")
+
+        def train(out):
+            return cli_main(["train", "--pairs-manifest", str(manifest), "--nsize", "3",
+                             "--m", "2", "--epochs", "3", "--freeze", "1", "--out", str(out)])
+
+        assert train(tmp_path / "plain.nulut") == 0
+        original = training.train_predictor
+        monkeypatch.setattr(training, "train_predictor",
+                            lambda *args, **kwargs: original(*args, **kwargs))
+        assert train(tmp_path / "wrapped.nulut") == 0
+        assert (tmp_path / "wrapped.nulut").read_bytes() == (tmp_path / "plain.nulut").read_bytes()
+        assert cli_main(["fit", "--input", str(gamma_pair[0]), "--target", str(gamma_pair[1]),
+                         "--nsize", "3", "--steps", "2", "--adaptive",
+                         "--out", str(tmp_path / "fit.nulut")]) == 0
 
 
 class TestLibraryDefaults:
@@ -459,7 +480,8 @@ class TestLibraryDefaults:
         config = TrainConfig()
         assert (args["interval_lr_decay"], args["seed"]) == (config.interval_lr_decay, config.seed)
         assert args["freeze"] == config.freeze_interval_epochs
-        assert args["batch"] == inspect.signature(train_predictor).parameters["batch_size"].default
+        assert args["batch"] == training.DEFAULT_BATCH_SIZE
+        assert inspect.signature(train_predictor).parameters["batch_size"].default == args["batch"]
         assert args["lr"] == 1e-2
 
     def test_bench_passes_only_given_flags(self):

@@ -1,11 +1,18 @@
+import threading
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
+from nulut import training, transform
+from nulut.predictor import PARAM_ARRAYS
 from nulut.ppm import read_image, read_ppm, write_image
 from nulut.lattice import identity_lut, uniform_coordinates
+from nulut.transform import CHUNK_PIXELS, transform_vjp
 from nulut.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     AdamState,
     ImagePair,
     LossWeights,
@@ -20,6 +27,7 @@ from nulut.training import (
     smoothness_loss,
     smoothness_loss_grad,
     total_loss,
+    train_predictor,
     write_history_csv,
     HISTORY_COLUMNS,
 )
@@ -217,6 +225,97 @@ class TestAdam:
         grads = {"a": np.ones(1), "b": np.ones(1)}
         out = adam_step(params, grads, AdamState(), config, lr_scales={"b": 0.1})
         assert abs(out["a"][0]) > abs(out["b"][0]) * 5
+
+
+def whole_array_adam_step(params, grads, state, config, lr_scales=None):
+    """adam_step as one expression per array: the reference the chunked update keeps."""
+    updated = dict(params)
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainingDivergedError(f"non-finite gradient for '{name}'")
+        if name not in state.m:
+            state.m[name] = np.zeros_like(params[name])
+            state.v[name] = np.zeros_like(params[name])
+            state.t[name] = 0
+        state.t[name] += 1
+        t = state.t[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= ADAM_BETA1
+        m += (1.0 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1.0 - ADAM_BETA2) * (g * g)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        lr = config.learning_rate
+        if lr_scales and name in lr_scales:
+            lr *= lr_scales[name]
+        updated[name] = params[name] - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return updated
+
+
+class TestChunkedAdam:
+    """adam_step works in CHUNK_PIXELS-element chunks and keeps the whole-array bits."""
+
+    SHAPES = {
+        "empty": (0,),
+        "one": (1,),
+        "below": (CHUNK_PIXELS - 1,),
+        "chunk": (CHUNK_PIXELS,),
+        "two_and_a_half": (5 * CHUNK_PIXELS // 2,),
+        "matrix": (7, CHUNK_PIXELS // 3),
+        "table": (3, 17, 17, 17),
+    }
+
+    def test_matches_whole_array_reference(self, rng):
+        config = TrainConfig(learning_rate=3e-3)
+        lr_scales = {"matrix": 0.1}
+        params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
+        ref_params, ref_state = dict(params), AdamState()
+        state = AdamState()
+        for step in range(6):
+            # "one" is frozen for the first two steps, then joins in
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                     for name, shape in self.SHAPES.items() if name != "one" or step >= 2}
+            params = adam_step(params, grads, state, config, lr_scales)
+            ref_params = whole_array_adam_step(ref_params, grads, ref_state, config, lr_scales)
+            for name in self.SHAPES:
+                assert params[name].tobytes() == ref_params[name].tobytes(), (step, name)
+                assert params[name].shape == ref_params[name].shape
+            for name in ref_state.m:
+                assert state.m[name].tobytes() == ref_state.m[name].tobytes(), (step, name)
+                assert state.v[name].tobytes() == ref_state.v[name].tobytes(), (step, name)
+            assert state.t == ref_state.t
+        assert state.t == {**{name: 6 for name in self.SHAPES}, "one": 4}
+
+    def test_empty_parameter_alone(self):
+        state = AdamState()
+        out = adam_step({"w": np.zeros((0, 3))}, {"w": np.zeros((0, 3))}, state, TrainConfig())
+        assert out["w"].shape == state.m["w"].shape == (0, 3)
+        assert state.t == {"w": 1}
+
+    def test_leaves_its_inputs_unchanged(self, rng):
+        params = {"w": rng.normal(size=(2, CHUNK_PIXELS + 5))}
+        grads = {"w": rng.normal(size=(2, CHUNK_PIXELS + 5))}
+        kept = params["w"].tobytes(), grads["w"].tobytes()
+        out = adam_step(params, grads, AdamState(), TrainConfig())
+        assert out["w"] is not params["w"]
+        assert (params["w"].tobytes(), grads["w"].tobytes()) == kept
+
+    def test_non_finite_gradient_raises_before_its_moments_move(self, rng):
+        size = 2 * CHUNK_PIXELS + 3
+        params = {"a": rng.normal(size=size), "b": rng.normal(size=size)}
+        state = AdamState()
+        params = adam_step(params, {"a": rng.normal(size=size), "b": rng.normal(size=size)},
+                           state, TrainConfig())
+        moments = (state.m["b"].copy(), state.v["b"].copy(), state.t["b"])
+        bad = rng.normal(size=size)
+        bad[-1] = np.inf  # in the last chunk, after earlier chunks would have moved
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient for 'b'"):
+            adam_step(params, {"a": rng.normal(size=size), "b": bad}, state, TrainConfig())
+        assert state.m["b"].tobytes() == moments[0].tobytes()
+        assert state.v["b"].tobytes() == moments[1].tobytes()
+        assert state.t["b"] == moments[2]
 
 
 class TestFitDirect:
@@ -492,6 +591,97 @@ class TestTrainPredictorBasics:
         _, h1 = train_predictor([pair], 3, 2, config)
         _, h2 = train_predictor([pair], 3, 2, config)
         assert np.array_equal(h1, h2)
+
+
+class TestStepJobs:
+    """The regularizers run beside the pixel side; no result depends on the CPU count."""
+
+    @staticmethod
+    def float_pairs(rng, count):
+        # 64 x 64 pixels are one row block, so the two step jobs are the only concurrency
+        assert len(transform.row_blocks(64, 64)) == 1
+        images = [rng.random((3, 64, 64)) for _ in range(count)]
+        return [ImagePair(img, img**0.6) for img in images]
+
+    @pytest.mark.parametrize("batch_size", [1, 2])
+    def test_train_predictor_bytes_do_not_depend_on_cpus(self, rng, monkeypatch, batch_size):
+        pairs = self.float_pairs(rng, 3)
+        config = TrainConfig(learning_rate=1e-2, epochs=3, freeze_interval_epochs=1)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(transform, "usable_cpus", lambda: cpus)
+            params, history = train_predictor(pairs, 9, 2, config, batch_size=batch_size)
+            runs.append([history.tobytes()]
+                        + [getattr(params, name).tobytes() for name in PARAM_ARRAYS])
+        assert runs[0] == runs[1] == runs[2]
+
+    @pytest.mark.parametrize("height", [40, 100])
+    def test_fit_direct_bytes_do_not_depend_on_cpus(self, rng, monkeypatch, height):
+        # 300 columns make 64-row blocks: one block at 40 rows, two at 100
+        samples = rng.integers(0, 256, size=(3, height, 300), dtype=np.uint8)
+        pair = ImagePair(samples, (samples / 255.0) ** 0.6, maxval=255)
+        config = TrainConfig(learning_rate=1e-2, epochs=6, freeze_interval_epochs=2)
+        runs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(transform, "usable_cpus", lambda: cpus)
+            lattice, history = fit_direct([pair], 9, config)
+            runs.append((lattice.coords.tobytes(), lattice.values.tobytes(), history.tobytes()))
+        assert runs[0] == runs[1] == runs[2]
+
+    def test_regularizers_run_beside_the_pixel_side(self, rng, monkeypatch):
+        regularized = threading.Event()
+        threads = {}
+
+        def pixel_side(*args, **kwargs):
+            threads["pixel"] = threading.get_ident()
+            # run in sequence, the regularizers could not start until this returned
+            assert regularized.wait(timeout=10)
+            return transform_vjp(*args, **kwargs)
+
+        def smoothness(table):
+            threads["regularizers"] = threading.get_ident()
+            regularized.set()
+            return smoothness_loss_grad(table)
+
+        monkeypatch.setattr(transform, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(training, "transform_vjp", pixel_side)
+        monkeypatch.setattr(training, "smoothness_loss_grad", smoothness)
+        config = TrainConfig(learning_rate=1e-2, epochs=1, freeze_interval_epochs=0)
+        fit_direct(self.float_pairs(rng, 1), 5, config)
+        assert threads["pixel"] != threads["regularizers"]
+
+    def test_jobs_run_in_order_when_row_blocks_fill_the_cpus(self, rng, monkeypatch):
+        threads = []
+
+        def pixel_side(*args, **kwargs):
+            threads.append(threading.get_ident())
+            return transform_vjp(*args, **kwargs)
+
+        def smoothness(table):
+            threads.append(threading.get_ident())
+            return smoothness_loss_grad(table)
+
+        img = rng.random((3, 100, 300))
+        assert len(transform.row_blocks(100, 300)) == 2
+        monkeypatch.setattr(transform, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(training, "transform_vjp", pixel_side)
+        monkeypatch.setattr(training, "smoothness_loss_grad", smoothness)
+        config = TrainConfig(learning_rate=1e-2, epochs=1, freeze_interval_epochs=0)
+        fit_direct([ImagePair(img, img**0.6)], 5, config)
+        assert threads == [threading.get_ident()] * 2
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_regularizer_error_reaches_the_caller(self, rng, monkeypatch, cpus):
+        def broken(table):
+            raise ArithmeticError("regularizer failed")
+
+        monkeypatch.setattr(transform, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(training, "smoothness_loss_grad", broken)
+        before = set(threading.enumerate())
+        config = TrainConfig(learning_rate=1e-2, epochs=2, freeze_interval_epochs=0)
+        with pytest.raises(ArithmeticError, match="^regularizer failed$"):
+            train_predictor(self.float_pairs(rng, 1), 5, 2, config)
+        assert set(threading.enumerate()) <= before
 
 
 class TestHistoryCsv:

@@ -16,7 +16,7 @@ from nulut.lattice import (
 from nulut.transform import (
     CHUNK_PIXELS,
     CHUNK_ROWS,
-    _map_blocks,
+    map_blocks,
     _transform_block,
     lookup,
     lookup_with_count,
@@ -283,7 +283,7 @@ class TestMapBlocks:
     """The calling thread drains block indices next to workers - 1 pool threads."""
 
     def test_results_in_block_order_with_more_workers_than_blocks(self):
-        assert _map_blocks(lambda b: b * b, list(range(5)), 8) == [0, 1, 4, 9, 16]
+        assert map_blocks(lambda b: b * b, list(range(5)), 8) == [0, 1, 4, 9, 16]
 
     def test_calling_thread_runs_a_share(self):
         caller = threading.get_ident()
@@ -299,7 +299,7 @@ class TestMapBlocks:
                 caller_ran.wait(timeout=10)
             return -block
 
-        assert _map_blocks(run, list(range(6)), 2) == [0, -1, -2, -3, -4, -5]
+        assert map_blocks(run, list(range(6)), 2) == [0, -1, -2, -3, -4, -5]
         assert caller in ran_on and len(ran_on) == 6
 
     def test_error_in_the_callers_share_reaches_the_caller(self):
@@ -314,7 +314,7 @@ class TestMapBlocks:
             return block
 
         with pytest.raises(RuntimeError, match="caller's share"):
-            _map_blocks(run, list(range(4)), 2)
+            map_blocks(run, list(range(4)), 2)
         assert caller_ran.is_set()
 
     def test_error_in_a_pool_threads_share_reaches_the_caller(self):
@@ -329,5 +329,5 @@ class TestMapBlocks:
             return block
 
         with pytest.raises(RuntimeError, match="pool thread's share"):
-            _map_blocks(run, list(range(4)), 3)
+            map_blocks(run, list(range(4)), 3)
         assert pool_ran.is_set()
