@@ -30,18 +30,27 @@ One grid, row_blocks, serves the forward transform, the training pass
 and PPM writing: blocks of at most CHUNK_ROWS rows and about
 CHUNK_PIXELS pixels, so temporaries stay cache-sized on wide images.
 The grid depends only on the image size.  The calling thread and
-workers - 1 pool threads take blocks from one counter; they share the
-read-only lattice, write disjoint output slices, and keep private
-gradient buffers that are reduced in block order.  Results are
-therefore bit-identical for any thread count, and usable_cpus is the
-count apply and training use.
+workers - 1 threads of one module-wide block pool take blocks from one
+counter; they share the read-only lattice, write disjoint output
+slices, and keep private gradient buffers that are reduced in block
+order.  Results are therefore bit-identical for any thread count, and
+usable_cpus is the count apply and training use.  The pool is started
+on first use, grows when a call asks for more threads, and outlives
+the calls, so each of its threads keeps a workspace: 64-byte-aligned
+buffers, one per named slot, grown on demand.  A block writes its
+temporaries there with out= (indices, weight pairs, gathered corners,
+the backward's channel sums and chain terms) in the same operations
+and order as allocating them would, so a warm training step allocates
+little beyond the arrays it returns and the bincount scatters.  No
+returned array views a workspace.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -182,33 +191,97 @@ def _locate(coords, pix):
     return e0, gap, xd
 
 
-def _base_index(e0, n):
-    """Flat table index of each pixel's low corner (e_r, e_g, e_b)."""
-    return np.ravel_multi_index(e0, (n, n, n))
+class _Workspace(threading.local):
+    """One thread's block scratch: a 64-byte-aligned byte buffer per slot."""
+
+    def __init__(self):
+        self.buffers = {}
 
 
-def _weight_pairs(xd):
+_WORKSPACE = _Workspace()
+_ALIGN = 64
+
+
+def _scratch(slot, shape, dtype=np.float64):
+    """This thread's buffer for slot, viewed as a C-contiguous array of shape.
+
+    The contents are whatever the slot's last user left.  A buffer grows
+    when a larger block asks for it and is never seen by another thread,
+    so a block may overwrite it freely; nothing that outlives the block
+    may view it.  Slots are named by role and reused across phases:
+    "corner" holds the gathered corners, then the backward's knot
+    indices; "wrg" and "w" hold the chain's terms, and "cw" the level
+    route's cell widths.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = dtype.itemsize * math.prod(shape)
+    buffers = _WORKSPACE.buffers
+    buf = buffers.get(slot)
+    if buf is None or buf.nbytes < nbytes:
+        # unaligned out= buffers measured twice as slow in np.multiply
+        raw = np.empty(nbytes + _ALIGN, dtype=np.uint8)
+        start = -raw.ctypes.data % _ALIGN
+        buf = buffers[slot] = raw[start:start + nbytes]
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def _rows(a, r0, r1):
+    """Rows r0:r1 of a (3, h, w) array as (3, p) pixel columns.
+
+    A view whenever a is C-contiguous, as every array allocated here
+    is, so writing the columns writes a.
+    """
+    return a[:, r0:r1, :].reshape(3, -1)
+
+
+def _weight_pairs(xd, out=None):
     """Per-axis trilinear weight pairs (1 - xd, xd), shape (3, 2, ...)."""
-    pairs = np.stack((xd, xd), axis=1)
+    pairs = np.empty((3, 2) + xd.shape[1:]) if out is None else out
+    pairs[:, 1] = xd
     np.subtract(1.0, xd, out=pairs[:, 0])
     return pairs
 
 
-def _blend(flat, n, base, wr, wg, wb):
-    """Trilinear blend of the 8 corners above the low corners base.
+def _cell_weights(e0, xd, n):
+    """Flat low-corner index and weight pairs of located cells, in the workspace."""
+    p = e0.shape[1]
+    # (e_r * n + e_g) * n + e_b, the flat index of the low corner
+    base = _scratch("base", (p,), np.intp)
+    np.multiply(e0[0], n, out=base)
+    base += e0[1]
+    base *= n
+    base += e0[2]
+    return base, _weight_pairs(xd, _scratch("pairs", (3, 2, p)))
 
-    flat is the (3, n^3) table and wr, wg, wb the per-axis weight pairs.
+
+def _blend(flat, n, base, pairs):
+    """Trilinear blend of the 8 corners above the low corners base, (3, p).
+
+    flat is the (3, n^3) table and pairs the per-axis weight pairs.  The
+    sum is a new array: copied into the image's rows, it measured faster
+    on 1080p frames than blending straight into them.
     Corners are summed from zero in (i, j, k) order with weights
     (wr[i] * wg[j]) * wb[k], operation for operation as transform_pixel
     does, so every path through here agrees bit-exactly.
     """
-    out = np.zeros((3, base.shape[0]))
+    wr, wg, wb = pairs
+    p = base.shape[0]
+    idx = _scratch("idx", (p,), np.intp)
+    corner = _scratch("corner", (3, p))
+    wrg = _scratch("wrg", (p,))
+    w = _scratch("w", (p,))
+    out = np.zeros((3, p))
     for i in (0, 1):
         for j in (0, 1):
-            wrg = wr[i] * wg[j]
+            np.multiply(wr[i], wg[j], out=wrg)
             for k in (0, 1):
-                corner = flat.take(base + ((i * n + j) * n + k), axis=1)
-                corner *= wrg * wb[k]
+                np.add(base, (i * n + j) * n + k, out=idx)
+                # with the default mode="raise", take(out=) copies its whole
+                # output to keep out intact on a bad index.  No index here is
+                # bad: e0 is clamped to [0, n - 2], so "clip" never clips
+                flat.take(idx, axis=1, out=corner, mode="clip")
+                np.multiply(wrg, wb[k], out=w)
+                corner *= w
                 out += corner
     return out
 
@@ -217,7 +290,7 @@ def _transform_block(pix, coords, values):
     """Transform flattened pixel columns (3, p) against raw lattice arrays."""
     n = coords.shape[1]
     e0, _, xd = _locate(coords, pix)
-    return _blend(values.reshape(3, n * n * n), n, _base_index(e0, n), *_weight_pairs(xd))
+    return _blend(values.reshape(3, n * n * n), n, *_cell_weights(e0, xd, n))
 
 
 def _level_cells(coords, maxval):
@@ -242,13 +315,26 @@ def _level_tables(cells, n):
     return e0 * np.array([[n * n], [n], [1]]), _weight_pairs(xd)
 
 
-def _level_block(samples, offsets, weights, flat, n):
-    """Transform quantized pixel columns (3, p) through the level tables."""
-    base = offsets[0].take(samples[0])
-    base += offsets[1].take(samples[1])
-    base += offsets[2].take(samples[2])
-    wr, wg, wb = (weights[c].take(samples[c], axis=1) for c in range(3))
-    return _blend(flat, n, base, wr, wg, wb)
+def _level_weights(samples, offsets, weights):
+    """Samples as indices, low-corner index and weight pairs, in the workspace.
+
+    samples is a (3, rows, w) block of quantized samples, gathered
+    through the level tables.  Sample values are validated to [0, maxval],
+    the tables' range, so mode="clip" never clips.
+    """
+    p = samples.shape[1] * samples.shape[2]
+    sidx = _scratch("samples", (3, p), np.intp)
+    np.copyto(sidx.reshape(samples.shape), samples, casting="unsafe")
+    base = _scratch("base", (p,), np.intp)
+    offset = _scratch("idx", (p,), np.intp)
+    offsets[0].take(sidx[0], out=base, mode="clip")
+    for c in (1, 2):
+        offsets[c].take(sidx[c], out=offset, mode="clip")
+        base += offset
+    pairs = _scratch("pairs", (3, 2, p))
+    for c in range(3):
+        weights[c].take(sidx[c], axis=1, out=pairs[c], mode="clip")
+    return sidx, base, pairs
 
 
 def check_maxval(maxval) -> None:
@@ -289,36 +375,91 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
+POOL_THREAD_NAME = "nulut-blocks"
+
+
+class _BlockPool:
+    """The pool threads every map_blocks call shares, started on first use.
+
+    It grows when a call asks for more threads than it has and never
+    shrinks.  Its threads outlive the calls, so their workspaces stay
+    warm; idle, they end when the interpreter exits.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._executor = None
+        self._threads = 0
+
+    def submit(self, fn, count):
+        """count futures of fn(), on a pool of at least count threads."""
+        with self._lock:
+            if count > self._threads:
+                # the old executor finishes what it was given, then its threads end
+                if self._executor is not None:
+                    self._executor.shutdown(wait=False)
+                self._executor = ThreadPoolExecutor(count, thread_name_prefix=POOL_THREAD_NAME)
+                self._threads = count
+            return [self._executor.submit(fn) for _ in range(count)]
+
+
+_POOL = _BlockPool()
+
+
 def map_blocks(run, blocks, workers):
     """run(block) for every block, results in block order.
 
     A block is whatever run takes: a row range here, a job in training.
 
-    With more than one worker, the calling thread and workers - 1 pool
-    threads take block indices from one shared counter, so the caller
-    does a share of the work instead of waiting on a full pool.  An
-    exception raised in any share reaches the caller.
+    With more than one worker, the calling thread runs the first block,
+    and it and workers - 1 threads of the module's one block pool take
+    the other block indices from one shared counter, so the caller does
+    a share of the work instead of waiting on the pool.  The first block
+    (training's pixel side) thus always runs on the caller, and only one
+    workspace holds its temporaries.  Once the counter is drained,
+    shares no pool thread has started are cancelled and only running
+    ones are waited for, so a call made from inside a pool thread's
+    share never waits on a pool that is busy running it.  When any
+    share raises, no further block starts; the call waits for the
+    shares still running and re-raises.  No block runs after the call
+    returns.
     """
     threads = min(workers, len(blocks))
     if threads <= 1:
         return [run(block) for block in blocks]
     results = [None] * len(blocks)
-    indices = iter(range(len(blocks)))
     lock = threading.Lock()
+    taken = 1  # blocks handed out, the first to the caller; all once a share fails
 
-    def drain():
-        while True:
-            with lock:
-                i = next(indices, None)
-            if i is None:
-                return
-            results[i] = run(blocks[i])
+    def claim():
+        nonlocal taken
+        with lock:
+            if taken == len(blocks):
+                return None
+            taken += 1
+            return taken - 1
 
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        futures = [pool.submit(drain) for _ in range(threads - 1)]
-        drain()
-        for future in futures:
-            future.result()
+    def drain(i):
+        nonlocal taken
+        while i is not None:
+            try:
+                results[i] = run(blocks[i])
+            except BaseException:
+                with lock:
+                    taken = len(blocks)
+                raise
+            i = claim()
+
+    futures = _POOL.submit(lambda: drain(claim()), threads - 1)
+    try:
+        drain(0)
+    finally:
+        # wait() would also wait for a cancelled future until a pool thread
+        # dequeues it, so only the shares that did start are waited for
+        started = [future for future in futures if not future.cancel()]
+        wait(started)
+    for future in started:
+        future.result()
     return results
 
 
@@ -342,22 +483,22 @@ def transform_image(
         a = validate_image(img)
 
         def block_transform(pix):
-            return _transform_block(pix, coords, values)
+            return _transform_block(pix.reshape(3, -1), coords, values)
     else:
         a = validate_samples(img, maxval)
         n = lattice.n_s
         flat = values.reshape(3, n * n * n)
         offsets, weights = _level_tables(_level_cells(coords, maxval), n)
 
-        def block_transform(pix):
-            return _level_block(pix, offsets, weights, flat, n)
+        def block_transform(samples):
+            return _blend(flat, n, *_level_weights(samples, offsets, weights)[1:])
 
     h, w = a.shape[1], a.shape[2]
     out = np.empty_like(a, dtype=np.float64)
 
     def run(block):
         r0, r1 = block
-        res = block_transform(a[:, r0:r1, :].reshape(3, -1))
+        res = block_transform(a[:, r0:r1, :])
         out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
 
     map_blocks(run, row_blocks(h, w), workers)
@@ -378,60 +519,87 @@ class LatticeGradients:
     grad_input: np.ndarray
 
 
-def _backward_block(cells, gout, values):
-    """Gradient contributions of one pixel block located as cells.
+def _cell_knots(e0, gap):
+    """_backward_block's knots_of for cells located by _locate."""
+    def knots_of(axis, out):
+        out[...] = e0[axis]
+        return gap[axis]
+    return knots_of
 
-    cells is _locate's (e0, gap, xd) for the block.  Returns
-    (grad_values_flat (3, n^3), grad_coords (3, n), grad_input (3, p)).
-    Scatter order is fixed: corners in (i, j, k) order, pixels in block
-    order within each corner.
+
+def _level_knots(sidx, e0_table, gap_table):
+    """_backward_block's knots_of for samples sidx, gathering one axis at a time."""
+    def knots_of(axis, out):
+        e0_table[axis].take(sidx[axis], out=out, mode="clip")
+        gap = _scratch("cw", out.shape)
+        return gap_table[axis].take(sidx[axis], out=gap, mode="clip")
+    return knots_of
+
+
+def _backward_block(base, pairs, knots_of, gout, flat, n, grad_input):
+    """Gradient contributions of one pixel block.
+
+    base and pairs are the block's flat low-corner indices and weight
+    pairs; knots_of(axis, out) writes its low knot indices e0 along axis
+    into out and returns its cell widths along axis.  The input gradient
+    is written into grad_input (3, p); returns (grad_values_flat (3, n^3),
+    grad_coords (3, n)), both newly allocated.  Every other temporary
+    lives in the thread's workspace.  Scatter order is fixed: corners in
+    (i, j, k) order, pixels in block order within each corner.
     """
-    e0, gap, xd = cells
-    n = values.shape[1]
     n3 = n * n * n
-    flat = values.reshape(3, n3)
-    base = _base_index(e0, n)
-    wr, wg, wb = pairs = _weight_pairs(xd)
+    p = base.shape[0]
+    wr, wg, wb = pairs
+    idx = _scratch("idx", (p,), np.intp)
+    vertex = _scratch("corner", (3, p))
+    wrg = _scratch("wrg", (p,))
+    w = _scratch("w", (p,))
+    cw = _scratch("cw", (p,))
 
     # s[i, j, k] is the output gradient dotted with the vertex values at
     # (e_r + i, e_g + j, e_b + k): the channel sum every axis below needs
-    s = np.empty((2, 2, 2, xd.shape[1]))
+    s = _scratch("s", (2, 2, 2, p))
     grad_values = np.zeros((3, n3))
     for i in (0, 1):
         for j in (0, 1):
-            wrg = wr[i] * wg[j]
+            np.multiply(wr[i], wg[j], out=wrg)
             for k in (0, 1):
-                idx = base + ((i * n + j) * n + k)
-                vertex = flat.take(idx, axis=1)
+                np.add(base, (i * n + j) * n + k, out=idx)
+                flat.take(idx, axis=1, out=vertex, mode="clip")
                 vertex *= gout
                 np.sum(vertex, axis=0, out=s[i, j, k])
-                w = wrg * wb[k]
+                np.multiply(wrg, wb[k], out=w)
                 for c in range(3):
-                    grad_values[c] += np.bincount(idx, weights=w * gout[c], minlength=n3)
+                    np.multiply(w, gout[c], out=cw)
+                    grad_values[c] += np.bincount(idx, weights=cw, minlength=n3)
 
     # chain through the normalized offsets: the weight derivative along one
     # axis pairs the other two axes' weights with the on-axis delta of s.
     # That sum over the cell width is the input gradient; the cell's low
     # knot takes -(1 - xd) times it and its high knot -xd times it
     grad_coords = np.empty((3, n))
-    grad_input = np.zeros_like(xd)
+    grad_input.fill(0.0)
+    term, w_uv = wrg, w
+    knots = _scratch("corner", (2, p), np.intp)
+    knot_weights = _scratch("knot_weights", (2, p))
     for axis in range(3):
         w_u, w_v = (pairs[a] for a in range(3) if a != axis)
         lo, hi = np.moveaxis(s, axis, 0)
         g_axis = grad_input[axis]
         for u in (0, 1):
             for v in (0, 1):
-                term = hi[u, v] - lo[u, v]
-                term *= w_u[u] * w_v[v]
+                np.subtract(hi[u, v], lo[u, v], out=term)
+                np.multiply(w_u[u], w_v[v], out=w_uv)
+                term *= w_uv
                 g_axis += term
-        g_axis /= gap[axis]
+        g_axis /= knots_of(axis, knots[0])
+        np.add(knots[0], 1, out=knots[1])
+        np.multiply(pairs[axis], g_axis, out=knot_weights)
         grad_coords[axis] = np.bincount(
-            np.concatenate((e0[axis], e0[axis] + 1)),
-            weights=(pairs[axis] * g_axis).ravel(),
-            minlength=n,
+            knots.reshape(-1), weights=knot_weights.reshape(-1), minlength=n
         )
     np.negative(grad_coords, out=grad_coords)
-    return grad_values, grad_coords, grad_input
+    return grad_values, grad_coords
 
 
 def backward_pixel(pixel, lattice: Lattice, grad_out) -> LatticeGradients:
@@ -440,10 +608,12 @@ def backward_pixel(pixel, lattice: Lattice, grad_out) -> LatticeGradients:
     g = np.asarray(grad_out, dtype=np.float64).reshape(-1)
     if g.shape != (3,):
         raise ValueError(f"grad_out must be a triple, got shape {np.shape(grad_out)}")
-    cells = _locate(lattice.coords, p.reshape(3, 1))
-    gv, gc, gi = _backward_block(cells, g.reshape(3, 1), lattice.values)
     n = lattice.n_s
-    return LatticeGradients(gv.reshape(3, n, n, n), gc, gi.reshape(3))
+    e0, gap, xd = _locate(lattice.coords, p.reshape(3, 1))
+    grad_input = np.empty((3, 1))
+    gv, gc = _backward_block(*_cell_weights(e0, xd, n), _cell_knots(e0, gap), g.reshape(3, 1),
+                             lattice.values.reshape(3, n * n * n), n, grad_input)
+    return LatticeGradients(gv.reshape(3, n, n, n), gc, grad_input.reshape(3))
 
 
 def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None = None):
@@ -454,12 +624,13 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
     standing for sample / maxval; both give the same bits.  The forward
     locates each pixel's cell once, per row_blocks block.  On the float
     route it keeps the located cells (e0, gap, xd); on the level route
-    it keeps nothing beyond the samples, and the backward gathers the
-    cells again from the per-level tables.  backward(grad_output) turns
-    the loss gradient w.r.t. out into LatticeGradients from those cells.
-    Table and coordinate gradients are accumulated into per-block
-    buffers that are reduced in block order, so the result does not
-    depend on the number of workers.
+    it keeps nothing beyond the samples, and the backward takes each
+    block's low corners and weight pairs from the forward's level tables
+    again, and its knot indices and cell widths one axis at a time.
+    backward(grad_output) turns the loss gradient w.r.t. out into
+    LatticeGradients from those cells.  Table and coordinate gradients
+    are accumulated into per-block buffers that are reduced in block
+    order, so the result does not depend on the number of workers.
     """
     coords, values = lattice.coords, lattice.values
     n = lattice.n_s
@@ -470,24 +641,22 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
         a = validate_samples(img, maxval)
         level_cells = _level_cells(coords, maxval)
         offsets, weights = _level_tables(level_cells, n)
-        # flat offsets of each channel's row in the (3, maxval + 1) tables
-        level_rows = np.array([[0], [1], [2]]) * (int(maxval) + 1)
+        level_e0, level_gap, _ = level_cells
     h, w = a.shape[1], a.shape[2]
     out = np.empty_like(a, dtype=np.float64)
     blocks = row_blocks(h, w)
 
     def forward(block):
         r0, r1 = block
-        pix = a[:, r0:r1, :].reshape(3, -1)
         if maxval is None:
-            cells = _locate(coords, pix)
+            cells = _locate(coords, _rows(a, r0, r1))
             e0, _, xd = cells
-            res = _blend(flat, n, _base_index(e0, n), *_weight_pairs(xd))
+            base, pairs = _cell_weights(e0, xd, n)
         else:
             # the samples stay in a, so the backward gathers the cells again
             cells = None
-            res = _level_block(pix, offsets, weights, flat, n)
-        out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
+            _, base, pairs = _level_weights(a[:, r0:r1, :], offsets, weights)
+        out[:, r0:r1, :] = _blend(flat, n, base, pairs).reshape(3, r1 - r0, w)
         return cells
 
     located = list(zip(blocks, map_blocks(forward, blocks, workers)))
@@ -503,19 +672,24 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
         def run(item):
             (r0, r1), cells = item
             if cells is None:
-                idx = a[:, r0:r1, :].reshape(3, -1) + level_rows
-                cells = tuple(table.take(idx) for table in level_cells)
-                # freed before the backward's own temporaries peak
-                del idx
-            gout = g[:, r0:r1, :].reshape(3, -1)
-            gv, gc, gi = _backward_block(cells, gout, values)
-            grad_input[:, r0:r1, :] = gi.reshape(3, r1 - r0, w)
-            return gv, gc
+                sidx, base, pairs = _level_weights(a[:, r0:r1, :], offsets, weights)
+                knots_of = _level_knots(sidx, level_e0, level_gap)
+            else:
+                e0, gap, xd = cells
+                base, pairs = _cell_weights(e0, xd, n)
+                knots_of = _cell_knots(e0, gap)
+            return _backward_block(base, pairs, knots_of, _rows(g, r0, r1), flat, n,
+                                   _rows(grad_input, r0, r1))
 
-        grad_values = np.zeros((3, n * n * n))
+        parts = map_blocks(run, located, workers)
+        # the first block's table gradient starts the sum: adding it to zeros
+        # would give the same bits, as no bincount sum is -0.0.  The knot
+        # gradients are negated sums, so theirs still start from zeros
+        grad_values = parts[0][0]
         grad_coords = np.zeros((3, n))
-        for gv, gc in map_blocks(run, located, workers):
-            grad_values += gv
+        for i, (gv, gc) in enumerate(parts):
+            if i:
+                grad_values += gv
             grad_coords += gc
         return LatticeGradients(grad_values.reshape(3, n, n, n), grad_coords, grad_input)
 

@@ -1,5 +1,9 @@
+import os
+import subprocess
+import sys
 import threading
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +12,7 @@ from nulut import training, transform
 from nulut.predictor import PARAM_ARRAYS
 from nulut.ppm import read_image, read_ppm, write_image
 from nulut.lattice import identity_lut, uniform_coordinates
-from nulut.transform import CHUNK_PIXELS, transform_vjp
+from nulut.transform import CHUNK_PIXELS, POOL_THREAD_NAME, transform_vjp
 from nulut.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -31,6 +35,8 @@ from nulut.training import (
     write_history_csv,
     HISTORY_COLUMNS,
 )
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 class TestReconstructionLoss:
@@ -681,7 +687,29 @@ class TestStepJobs:
         config = TrainConfig(learning_rate=1e-2, epochs=2, freeze_interval_epochs=0)
         with pytest.raises(ArithmeticError, match="^regularizer failed$"):
             train_predictor(self.float_pairs(rng, 1), 5, 2, config)
-        assert set(threading.enumerate()) <= before
+        after_first = set(threading.enumerate())
+        # the block pool persists across calls, but a failing call leaks no thread
+        assert all(t.name.startswith(POOL_THREAD_NAME) for t in after_first - before)
+        with pytest.raises(ArithmeticError, match="^regularizer failed$"):
+            train_predictor(self.float_pairs(rng, 1), 5, 2, config)
+        assert set(threading.enumerate()) <= after_first
+
+    def test_process_exits_with_the_block_pool_idle(self):
+        code = (
+            "import numpy as np\n"
+            "from nulut import transform\n"
+            "from nulut.training import ImagePair, TrainConfig, fit_direct\n"
+            "transform.usable_cpus = lambda: 2\n"
+            "samples = np.random.default_rng(0).integers(0, 256, (3, 100, 300), dtype=np.uint8)\n"
+            "assert len(transform.row_blocks(100, 300)) == 2\n"
+            "pair = ImagePair(samples, (samples / 255.0) ** 0.6, maxval=255)\n"
+            "fit_direct([pair], 5, TrainConfig(learning_rate=1e-2, epochs=2, freeze_interval_epochs=1))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
 
 class TestHistoryCsv:

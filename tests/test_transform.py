@@ -1,5 +1,8 @@
 import math
+import sys
 import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,15 +16,20 @@ from nulut.lattice import (
     identity_lut,
     uniform_coordinates,
 )
+from nulut import transform
 from nulut.transform import (
     CHUNK_PIXELS,
     CHUNK_ROWS,
+    POOL_THREAD_NAME,
+    backward_pixel,
     map_blocks,
     _transform_block,
     lookup,
     lookup_with_count,
+    row_blocks,
     transform_image,
     transform_pixel,
+    transform_vjp,
     trilinear_weights,
 )
 
@@ -331,3 +339,165 @@ class TestMapBlocks:
         with pytest.raises(RuntimeError, match="pool thread's share"):
             map_blocks(run, list(range(4)), 3)
         assert pool_ran.is_set()
+
+    def test_a_failing_share_stops_handing_out_blocks(self):
+        started = []
+
+        def run(block):
+            started.append(block)
+            if block == 0:
+                raise RuntimeError("first block")
+            time.sleep(0.001)
+            return block
+
+        with pytest.raises(RuntimeError, match="first block"):
+            map_blocks(run, list(range(64)), 2)
+        count = len(started)
+        time.sleep(0.05)
+        assert count < 64
+        # every share still running was waited for, so nothing starts later
+        assert len(started) == count
+
+
+@pytest.fixture
+def fresh_pool(monkeypatch):
+    """A new, empty block pool for one test, instead of the module's shared one."""
+    monkeypatch.setattr(transform, "_POOL", transform._BlockPool())
+
+
+class TestBlockPool:
+    """map_blocks runs on one persistent pool that grows on demand."""
+
+    def test_repeated_calls_reuse_the_pool_threads(self, fresh_pool):
+        before = set(threading.enumerate())
+        caller = threading.current_thread()
+        ran_on = set()
+
+        def run(block):
+            ran_on.add(threading.current_thread())
+            time.sleep(0.0005)
+            return block
+
+        for _ in range(100):
+            assert map_blocks(run, list(range(4)), 3) == [0, 1, 2, 3]
+        pool_threads = ran_on - {caller}
+        assert pool_threads and len(pool_threads) <= 2
+        assert all(t.name.startswith(POOL_THREAD_NAME) for t in pool_threads)
+        assert len(set(threading.enumerate()) - before) <= 2
+
+    def test_nested_call_from_a_pool_thread_completes(self, fresh_pool):
+        caller = threading.get_ident()
+        nested_done = threading.Event()
+        results = {}
+
+        def run(block):
+            if threading.get_ident() == caller:
+                # hold the caller's share until the pool thread's share is done,
+                # so the nested call finds the pool's only thread busy with it
+                assert nested_done.wait(timeout=10)
+                return None
+            inner = map_blocks(lambda b: b + 1, list(range(4)), 2)
+            nested_done.set()
+            return inner
+
+        def outer():
+            nonlocal caller
+            caller = threading.get_ident()
+            results["outer"] = map_blocks(run, [0, 1], 2)
+
+        thread = threading.Thread(target=outer, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert results["outer"] == [None, [1, 2, 3, 4]]
+
+    def test_every_block_runs_once_under_contention(self, fresh_pool):
+        runs = [0] * 500
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def run(block):
+                runs[block] += 1
+                return -block
+
+            started = time.monotonic()
+            for _ in range(5):
+                assert map_blocks(run, list(range(500)), 6) == [-b for b in range(500)]
+            assert time.monotonic() - started < 60
+        finally:
+            sys.setswitchinterval(interval)
+        # each index is handed out once, so no block runs twice or never
+        assert runs == [5] * 500
+
+    def test_more_workers_grow_the_pool(self, fresh_pool):
+        assert map_blocks(lambda b: b, list(range(3)), 2) == [0, 1, 2]
+        release = threading.Barrier(4, timeout=10)
+
+        def run(block):
+            # only four threads running at once get past the barrier
+            release.wait()
+            return block
+
+        assert map_blocks(run, list(range(4)), 4) == [0, 1, 2, 3]
+
+
+class TestNoResultAliasesAWorkspace:
+    """Every array a public call returns survives the next call on the same thread."""
+
+    def _calls(self, rng):
+        lattice = random_lattice(rng, 5)
+        img = rng.random((3, 70, 40))
+        samples = rng.integers(0, 256, size=(3, 70, 40), dtype=np.uint8)
+        out, backward = transform_vjp(samples, lattice, maxval=255)
+        grads = backward(rng.standard_normal(out.shape))
+        float_out, float_backward = transform_vjp(img, lattice)
+        float_grads = float_backward(rng.standard_normal(out.shape))
+        pixel = backward_pixel(rng.random(3), lattice, rng.standard_normal(3))
+        return {
+            "transform_image float": transform_image(img, lattice),
+            "transform_image levels": transform_image(samples, lattice, maxval=255),
+            "transform_vjp out": out,
+            "transform_vjp float out": float_out,
+            **{f"backward {k}": getattr(grads, k) for k in ("grad_values", "grad_coords", "grad_input")},
+            **{f"float backward {k}": getattr(float_grads, k)
+               for k in ("grad_values", "grad_coords", "grad_input")},
+            **{f"backward_pixel {k}": getattr(pixel, k)
+               for k in ("grad_values", "grad_coords", "grad_input")},
+        }
+
+    def test_second_call_leaves_first_results_unchanged(self):
+        first = self._calls(np.random.default_rng(1))
+        kept = {name: a.tobytes() for name, a in first.items()}
+        second = self._calls(np.random.default_rng(2))
+        for name, a in first.items():
+            assert a.tobytes() == kept[name], name
+            assert a.tobytes() != second[name].tobytes(), name
+
+
+def test_warm_backward_allocates_only_its_results(rng):
+    """A warm level-route backward traces only what it returns, plus one block.
+
+    Every other per-block temporary lives in the thread's workspace,
+    which the first backward has already grown.
+    """
+    size, n = 256, 17
+    samples = rng.integers(0, 256, size=(3, size, size), dtype=np.uint8)
+    out, backward = transform_vjp(samples, random_lattice(rng, n), maxval=255)
+    g = rng.standard_normal(out.shape)
+    backward(g)
+    tracemalloc.start()
+    try:
+        backward(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    blocks = row_blocks(size, size)
+    block_pixels = max(r1 - r0 for r0, r1 in blocks) * size
+    gradients = (3 * n**3 + 3 * n) * 8
+    allowed = (
+        3 * size * size * 8  # grad_input
+        + (len(blocks) + 1) * gradients  # per-block table and knot gradients, and their sum
+        + n**3 * 8  # one bincount output
+        + 3 * block_pixels * 8  # slack: one (3, p) block
+    )
+    assert peak <= allowed
