@@ -474,6 +474,45 @@ class TestNoResultAliasesAWorkspace:
             assert a.tobytes() != second[name].tobytes(), name
 
 
+class TestInputLayouts:
+    """Outputs and gradients do not depend on the memory layout of the inputs."""
+
+    @staticmethod
+    def _layouts(a):
+        # a copy of a in Fortran order, and one whose last two axes are swapped
+        # in memory; on both, a block's rows are not one run of memory
+        return {
+            "fortran": np.asfortranarray(a),
+            "swapped": np.ascontiguousarray(a.transpose(0, 2, 1)).transpose(0, 2, 1),
+        }
+
+    @pytest.mark.parametrize("maxval", [None, 255])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_vjp_matches_the_c_ordered_input(self, rng, maxval, workers):
+        lattice = random_lattice(rng, 5)
+        shape = (3, 70, 40)  # two row blocks
+        assert len(row_blocks(*shape[1:])) == 2
+        if maxval is None:
+            img = rng.random(shape)
+        else:
+            img = rng.integers(0, maxval + 1, size=shape, dtype=np.uint8)
+        g = rng.standard_normal(shape)
+
+        def run(img, g):
+            out, backward = transform_vjp(img, lattice, workers, maxval=maxval)
+            grads = backward(g)
+            return [out, grads.grad_values, grads.grad_coords, grads.grad_input]
+
+        expected = [a.tobytes() for a in run(img, g)]
+        for name, other in self._layouts(img).items():
+            for g_name, other_g in {"c": g, **self._layouts(g)}.items():
+                got = [a.tobytes() for a in run(other, other_g)]
+                assert got == expected, (name, g_name)
+        for name, other in self._layouts(img).items():
+            got = transform_image(other, lattice, workers, maxval=maxval)
+            assert got.tobytes() == expected[0], name
+
+
 def test_warm_backward_allocates_only_its_results(rng):
     """A warm level-route backward traces only what it returns, plus one block.
 
