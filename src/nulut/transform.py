@@ -13,15 +13,21 @@ is located in one of two ways:
   two ways give bit-identical results.  The maxval range is owned
   here: MAX_MAXVAL and check_maxval, which ppm reads and writes by.
 
-Both feed one blend core.  The backward path returns analytic gradients
-of the output with respect to the table values, the sampling
-coordinates, and the input colors, so the whole lattice, knot positions
-included, can be fitted by gradient descent.  transform_vjp is the
-training step's single pass: its forward locates each pixel's cell once
-and blends it, and its backward computes every gradient from the same
-cells (low knot index, cell width and offset).  On float input the
-forward keeps those cells; on quantized input it keeps only the samples,
-and the backward gathers the cells again from the level tables.  The
+Each call decides its route once, in _route: it validates the input,
+builds the level tables on the level route, and gives every block two
+steps, locate (what the block keeps from forward to backward) and cells
+(its low corners, weight pairs and knots).  One blend core and one
+backward core run on those for transform_image, transform_vjp and
+backward_pixel, which is transform_vjp on a 1x1 image.  The backward
+returns analytic gradients of the output with respect to the table
+values, the sampling coordinates, and the input colors, so the whole
+lattice, knot positions included, can be fitted by gradient descent.
+transform_vjp is the training step's single pass: its forward locates
+each pixel's cell once and blends it, and its backward computes every
+gradient from the same cells (low knot index, cell width and offset).
+The float route keeps its located cells; the level route keeps only
+the samples, and its backward gathers the cells again from the level
+tables.  transform_image keeps nothing once a block is blended.  The
 backward dots the output gradient with each corner's three channels
 once, then chains that sum along each axis.
 
@@ -78,12 +84,20 @@ class LookupResult(NamedTuple):
     x1: float
 
 
-def _bisect_cell(coords_row, x):
-    """Rightmost knot index with coords_row[e0] <= x, clamped to n_s - 2.
+def lookup(coords_row: np.ndarray, x: float) -> LookupResult:
+    """Locate x in a sorted coordinate row: cell indices and bounds."""
+    return lookup_with_count(coords_row, x)[0]
 
-    Returns (e0, comparisons).  The clamp makes x = 1.0 land inside the
-    last cell with offset 1 instead of falling off the table.
+
+def lookup_with_count(coords_row: np.ndarray, x: float) -> tuple[LookupResult, int]:
+    """Like lookup, also reporting how many comparisons the search used.
+
+    The cell is the rightmost knot index e0 with coords_row[e0] <= x,
+    clamped to n_s - 2, so x = 1.0 lands inside the last cell with offset
+    1 instead of falling off the table.
     """
+    if not 0.0 <= x <= 1.0:
+        raise ValueError(f"query must lie in [0, 1], got {x}")
     n = coords_row.shape[0]
     lo, hi = 0, n
     comparisons = 0
@@ -94,22 +108,7 @@ def _bisect_cell(coords_row, x):
             lo = mid + 1
         else:
             hi = mid
-    e0 = lo - 1
-    if e0 > n - 2:
-        e0 = n - 2
-    return e0, comparisons
-
-
-def lookup(coords_row: np.ndarray, x: float) -> LookupResult:
-    """Locate x in a sorted coordinate row: cell indices and bounds."""
-    return lookup_with_count(coords_row, x)[0]
-
-
-def lookup_with_count(coords_row: np.ndarray, x: float) -> tuple[LookupResult, int]:
-    """Like lookup, also reporting how many comparisons the search used."""
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"query must lie in [0, 1], got {x}")
-    e0, comparisons = _bisect_cell(coords_row, x)
+    e0 = min(lo - 1, n - 2)
     result = LookupResult(e0, e0 + 1, float(coords_row[e0]), float(coords_row[e0 + 1]))
     return result, comparisons
 
@@ -167,14 +166,11 @@ def transform_pixel(pixel, lattice: Lattice) -> np.ndarray:
     for c in range(3):
         e[c], _, x0, x1 = lookup(coords[c], p[c])
         xd[c] = (p[c] - x0) / (x1 - x0)
-    wr = (1.0 - xd[0], xd[0])
-    wg = (1.0 - xd[1], xd[1])
-    wb = (1.0 - xd[2], xd[2])
+    weights = trilinear_weights(*xd)
     out = np.zeros(3)
     for i, j, k in _CORNERS:
-        w = (wr[i] * wg[j]) * wb[k]
         for c in range(3):
-            out[c] += w * values[c, e[0] + i, e[1] + j, e[2] + k]
+            out[c] += weights[i, j, k] * values[c, e[0] + i, e[1] + j, e[2] + k]
     return out
 
 
@@ -295,40 +291,23 @@ def _blend(flat, n, base, pairs):
 
 
 def _transform_block(pix, coords, values):
-    """Transform flattened pixel columns (3, p) against raw lattice arrays."""
+    """Transform pixel columns (3, p) against raw, unvalidated lattice arrays.
+
+    The finite-difference tests call it: they perturb the pinned end
+    knots, which Lattice would reject.  No library path calls it; images
+    go through _route.
+    """
     n = coords.shape[1]
     e0, _, xd = _locate(coords, pix)
     return _blend(values.reshape(3, n * n * n), n, *_cell_weights(e0, xd, n))
-
-
-def _level_cells(coords, maxval):
-    """_locate's (e0, gap, xd) for the levels k / maxval, each (3, maxval + 1).
-
-    These are the cells the float path locates for the same floats
-    k / maxval, so gathering them by sample gives bit-identical cells.
-    """
-    # int(): maxval + 1 on a uint16 scalar at MAX_MAXVAL would wrap to 0
-    levels = np.arange(int(maxval) + 1, dtype=np.float64) / maxval
-    return _locate(coords, np.tile(levels, (3, 1)))
-
-
-def _level_tables(cells, n):
-    """Per-axis blend tables from the level cells.
-
-    Returns offsets (3, maxval + 1), level k's low-corner contribution
-    e0 * n^(2 - c) to the flat index, and weights (3, 2, maxval + 1), its
-    pair (1 - xd, xd).
-    """
-    e0, _, xd = cells
-    return e0 * np.array([[n * n], [n], [1]]), _weight_pairs(xd)
 
 
 def _level_weights(samples, offsets, weights):
     """Samples as indices, low-corner index and weight pairs, in the workspace.
 
     samples is a (3, rows, w) block of quantized samples, gathered
-    through the level tables.  Sample values are validated to [0, maxval],
-    the tables' range, so mode="clip" never clips.
+    through _route's level tables.  Sample values are validated to
+    [0, maxval], the tables' range, so mode="clip" never clips.
     """
     p = samples.shape[1] * samples.shape[2]
     sidx = _scratch("samples", (3, p), np.intp)
@@ -475,6 +454,46 @@ def map_blocks(run, blocks, workers):
     return results
 
 
+def _route(img, lattice: Lattice, maxval):
+    """Validate one call's input once and decide how its blocks find their cells.
+
+    Returns (a, locate, cells).  a is the checked array.  locate(r0, r1)
+    gives what rows r0:r1 keep between the forward and the backward: on
+    the float route (maxval=None) the located cells (e0, gap, xd); on the
+    level route only the samples, a view of a.  cells(kept) gives those
+    rows' flat low-corner indices and weight pairs, in the thread's
+    workspace, and _backward_block's knots_of for them.
+    """
+    n = lattice.n_s
+    if maxval is None:
+        a = validate_image(img)
+
+        def locate(r0, r1):
+            return _locate(lattice.coords, _rows(a, r0, r1))
+
+        def cells(kept):
+            e0, gap, xd = kept
+            return (*_cell_weights(e0, xd, n), _cell_knots(e0, gap))
+
+        return a, locate, cells
+    a = validate_samples(img, maxval)
+    # the float route's cells for the floats k / maxval, so gathering them
+    # by sample k gives bit-identical cells.  int(): maxval + 1 on a uint16
+    # scalar at MAX_MAXVAL would wrap to 0
+    levels = np.arange(int(maxval) + 1, dtype=np.float64) / maxval
+    level_e0, level_gap, level_xd = _locate(lattice.coords, np.tile(levels, (3, 1)))
+    # level k's contribution e0 * n^(2 - c) to the flat low-corner index,
+    # and its weight pair (1 - xd, xd)
+    offsets = level_e0 * np.array([[n * n], [n], [1]])
+    weights = _weight_pairs(level_xd)
+
+    def cells(samples):
+        sidx, base, pairs = _level_weights(samples, offsets, weights)
+        return base, pairs, _level_knots(sidx, level_e0, level_gap)
+
+    return a, lambda r0, r1: a[:, r0:r1, :], cells
+
+
 def transform_image(
     img, lattice: Lattice, workers: int = 1, *, maxval: int | None = None
 ) -> np.ndarray:
@@ -490,28 +509,17 @@ def transform_image(
     image-writing boundary, never inside a training loop where it would
     zero gradients.
     """
-    coords, values = lattice.coords, lattice.values
-    if maxval is None:
-        a = validate_image(img)
-
-        def block_transform(pix):
-            return _transform_block(pix.reshape(3, -1), coords, values)
-    else:
-        a = validate_samples(img, maxval)
-        n = lattice.n_s
-        flat = values.reshape(3, n * n * n)
-        offsets, weights = _level_tables(_level_cells(coords, maxval), n)
-
-        def block_transform(samples):
-            return _blend(flat, n, *_level_weights(samples, offsets, weights)[1:])
-
+    a, locate, cells = _route(img, lattice, maxval)
+    n = lattice.n_s
+    flat = lattice.values.reshape(3, n * n * n)
     h, w = a.shape[1], a.shape[2]
     out = np.empty_like(a, dtype=np.float64)
 
+    # unlike transform_vjp's forward, this drops a block's located cells
+    # once it is blended: kept, float cells would cost 72 bytes a pixel
     def run(block):
         r0, r1 = block
-        res = block_transform(a[:, r0:r1, :])
-        out[:, r0:r1, :] = res.reshape(3, r1 - r0, w)
+        out[:, r0:r1, :] = _blend(flat, n, *cells(locate(r0, r1))[:2]).reshape(3, r1 - r0, w)
 
     map_blocks(run, row_blocks(h, w), workers)
     return out
@@ -615,17 +623,18 @@ def _backward_block(base, pairs, knots_of, gout, flat, n, grad_input):
 
 
 def backward_pixel(pixel, lattice: Lattice, grad_out) -> LatticeGradients:
-    """Gradient contributions of a single pixel given its output gradient."""
+    """Gradient contributions of a single pixel given its output gradient.
+
+    This is transform_vjp's backward on a 1x1 image, so grad_out must be
+    finite.
+    """
     p = _validate_pixel(pixel)
     g = np.asarray(grad_out, dtype=np.float64).reshape(-1)
     if g.shape != (3,):
         raise ValueError(f"grad_out must be a triple, got shape {np.shape(grad_out)}")
-    n = lattice.n_s
-    e0, gap, xd = _locate(lattice.coords, p.reshape(3, 1))
-    grad_input = np.empty((3, 1))
-    gv, gc = _backward_block(*_cell_weights(e0, xd, n), _cell_knots(e0, gap), g.reshape(3, 1),
-                             lattice.values.reshape(3, n * n * n), n, grad_input)
-    return LatticeGradients(gv.reshape(3, n, n, n), gc, grad_input.reshape(3))
+    _, backward = transform_vjp(p.reshape(3, 1, 1), lattice)
+    grads = backward(g.reshape(3, 1, 1))
+    return LatticeGradients(grads.grad_values, grads.grad_coords, grads.grad_input.reshape(3))
 
 
 def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None = None):
@@ -633,43 +642,30 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
 
     Returns (out, backward).  img is read as transform_image reads it:
     floats in [0, 1] with maxval=None, or integer samples in [0, maxval]
-    standing for sample / maxval; both give the same bits.  The forward
-    locates each pixel's cell once, per row_blocks block.  On the float
-    route it keeps the located cells (e0, gap, xd); on the level route
-    it keeps nothing beyond the samples, and the backward takes each
-    block's low corners and weight pairs from the forward's level tables
-    again, and its knot indices and cell widths one axis at a time.
-    backward(grad_output) turns the loss gradient w.r.t. out into
+    standing for sample / maxval; both give the same bits.  The route is
+    decided once per call, by _route.  The forward locates each pixel's
+    cell once, per row_blocks block, and keeps what the backward needs
+    to find it again: the float route keeps its located cells (e0, gap,
+    xd); the level route keeps only the samples, and its backward
+    gathers each block's low corners and weight pairs from the level
+    tables again, and its knot indices and cell widths one axis at a
+    time.  backward(grad_output) turns the loss gradient w.r.t. out into
     LatticeGradients from those cells.  Table and coordinate gradients
     are accumulated into per-block buffers that are reduced in block
     order, so the result does not depend on the number of workers.
     """
-    coords, values = lattice.coords, lattice.values
+    a, locate, cells = _route(img, lattice, maxval)
     n = lattice.n_s
-    flat = values.reshape(3, n * n * n)
-    if maxval is None:
-        a = validate_image(img)
-    else:
-        a = validate_samples(img, maxval)
-        level_cells = _level_cells(coords, maxval)
-        offsets, weights = _level_tables(level_cells, n)
-        level_e0, level_gap, _ = level_cells
+    flat = lattice.values.reshape(3, n * n * n)
     h, w = a.shape[1], a.shape[2]
     out = np.empty_like(a, dtype=np.float64)
     blocks = row_blocks(h, w)
 
     def forward(block):
         r0, r1 = block
-        if maxval is None:
-            cells = _locate(coords, _rows(a, r0, r1))
-            e0, _, xd = cells
-            base, pairs = _cell_weights(e0, xd, n)
-        else:
-            # the samples stay in a, so the backward gathers the cells again
-            cells = None
-            _, base, pairs = _level_weights(a[:, r0:r1, :], offsets, weights)
-        out[:, r0:r1, :] = _blend(flat, n, base, pairs).reshape(3, r1 - r0, w)
-        return cells
+        kept = locate(r0, r1)
+        out[:, r0:r1, :] = _blend(flat, n, *cells(kept)[:2]).reshape(3, r1 - r0, w)
+        return kept
 
     located = list(zip(blocks, map_blocks(forward, blocks, workers)))
 
@@ -683,15 +679,8 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
         grad_input = np.empty(a.shape)
 
         def run(item):
-            (r0, r1), cells = item
-            if cells is None:
-                sidx, base, pairs = _level_weights(a[:, r0:r1, :], offsets, weights)
-                knots_of = _level_knots(sidx, level_e0, level_gap)
-            else:
-                e0, gap, xd = cells
-                base, pairs = _cell_weights(e0, xd, n)
-                knots_of = _cell_knots(e0, gap)
-            return _backward_block(base, pairs, knots_of, _rows(g, r0, r1), flat, n,
+            (r0, r1), kept = item
+            return _backward_block(*cells(kept), _rows(g, r0, r1), flat, n,
                                    _rows(grad_input, r0, r1))
 
         parts = map_blocks(run, located, workers)

@@ -72,6 +72,13 @@ class TestBackwardPixel:
             others[e] = 0.0
             assert np.all(others == 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_grad_out_rejected(self, rng, bad):
+        lattice = random_lattice(rng, 4)
+        grad_out = np.array([0.5, bad, -0.25])
+        with pytest.raises(ValueError, match="grad_output must be finite"):
+            backward_pixel(rng.random(3), lattice, grad_out)
+
     @pytest.mark.parametrize("n_s", [2, 4, 8])
     def test_matches_finite_differences(self, rng, n_s):
         for _ in range(25):

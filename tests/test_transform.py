@@ -540,3 +540,30 @@ def test_warm_backward_allocates_only_its_results(rng):
         + 3 * block_pixels * 8  # slack: one (3, p) block
     )
     assert peak <= allowed
+
+
+def test_warm_float_transform_keeps_no_located_cells(rng):
+    """A warm float transform_image traces its output and one block's temporaries.
+
+    Its blocks drop their located cells (e0, gap, xd: 72 bytes a pixel)
+    once blended; transform_vjp's forward keeps them for its backward.
+    """
+    size, n = 512, 17
+    img = rng.random((3, size, size))
+    lattice = random_lattice(rng, n)
+    blocks = row_blocks(size, size)
+    assert len(blocks) > 1
+    transform_image(img, lattice)
+    tracemalloc.start()
+    try:
+        transform_image(img, lattice)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block_pixels = max(r1 - r0 for r0, r1 in blocks) * size
+    allowed = (
+        3 * size * size * 8  # the output
+        + 3 * size * size  # validation's isfinite mask
+        + 6 * 3 * block_pixels * 8  # one block: _locate's five (3, p) temporaries, the blend
+    )
+    assert peak <= allowed
