@@ -33,7 +33,6 @@ from .lattice import (
     uniform_coordinates,
 )
 from .predictor import (
-    PARAM_ARRAYS,
     PredictorParams,
     extract_features,
     init_params,
@@ -62,6 +61,12 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
+def _check_integer(name, value):
+    """Raise ValueError naming the field unless value is an integer (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """The schedule both regimes share; Adam's betas and eps are AdaInt's, the ADAM_* constants."""
@@ -73,6 +78,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "freeze_interval_epochs", "seed"):
+            _check_integer(name, getattr(self, name))
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (np.isfinite(self.interval_lr_decay) and self.interval_lr_decay >= 0):
@@ -217,28 +224,31 @@ class AdamState:
 
 def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
               lr_scales: dict | None = None) -> dict:
-    """One Adam update for every parameter named in grads.
+    """One Adam update, in place, for every parameter named in grads.
 
+    Every gradient is checked before any parameter or moment moves.
     Parameters absent from grads are left untouched (their moments do not
-    advance, so a frozen group resumes cleanly when unfrozen).  Returns
-    the updated parameter dict; state is advanced in place.  The moments
-    and the new parameters are written in CHUNK_PIXELS-element chunks
-    through two chunk-sized buffers, with the whole-array expressions'
-    operations in their order, so no full-size temporary is made and the
-    bits are those of the whole-array update.
+    advance, so a frozen group resumes cleanly when unfrozen).  Each
+    update is written into params[name], which first becomes a writable
+    C-ordered float64 array if it is not one already; params is returned
+    and state is advanced in place.  The moments and the parameters are
+    written in CHUNK_PIXELS-element chunks through two chunk-sized
+    buffers, with the whole-array expressions' operations in their order,
+    so no full-size temporary is made and the bits are those of the
+    whole-array update.
     """
-    updated = dict(params)
+    for name, g in grads.items():
+        if not np.all(np.isfinite(g)):
+            raise TrainingDivergedError(f"non-finite gradient for '{name}'")
     # no larger than the largest parameter, so small fits keep small buffers
     chunk = min(transform.CHUNK_PIXELS, max([1, *map(np.size, grads.values())]))
     scratch = np.empty((2, chunk))
     for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingDivergedError(f"non-finite gradient for '{name}'")
-        shape = np.shape(params[name])
+        # the flat views below write through to the parameter and its moments
+        p = params[name] = np.require(params[name], np.float64, "CW")
         if name not in state.m:
-            # C-ordered, so the flat views below write through to the moments
-            state.m[name] = np.zeros(shape)
-            state.v[name] = np.zeros(shape)
+            state.m[name] = np.zeros(p.shape)
+            state.v[name] = np.zeros(p.shape)
             state.t[name] = 0
         state.t[name] += 1
         t = state.t[name]
@@ -247,12 +257,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
         lr = config.learning_rate
         if lr_scales and name in lr_scales:
             lr *= lr_scales[name]
-        updated[name] = np.empty(shape)
         # a gradient broadcasts against its parameter, as in the whole-array form
-        flat = (np.ravel(np.broadcast_to(g, shape)), np.ravel(params[name]),
-                state.m[name].reshape(-1), state.v[name].reshape(-1), updated[name].reshape(-1))
+        flat = (np.ravel(np.broadcast_to(g, p.shape)), p.reshape(-1),
+                state.m[name].reshape(-1), state.v[name].reshape(-1))
         for start in range(0, flat[0].size, chunk):
-            gc, pc, mc, vc, out = (x[start : start + chunk] for x in flat)
+            gc, pc, mc, vc = (x[start : start + chunk] for x in flat)
             a, b = scratch[:, : gc.size]
             # m = b1*m + (1 - b1)*g
             mc *= ADAM_BETA1
@@ -263,15 +272,15 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
             np.multiply(gc, gc, out=a)
             a *= 1.0 - ADAM_BETA2
             vc += a
-            # new = p - lr*(m/c1) / (sqrt(v/c2) + eps)
+            # p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
             np.divide(mc, c1, out=a)
             a *= lr
             np.divide(vc, c2, out=b)
             np.sqrt(b, out=b)
             b += ADAM_EPS
             a /= b
-            np.subtract(pc, a, out=out)
-    return updated
+            pc -= a
+    return params
 
 
 def _check_loss(loss, initial, step):
@@ -329,10 +338,12 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
 def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig, interval_names):
     """Adam over batches for config.epochs epochs: the schedule both regimes share.
 
-    loss_and_grads(params, item) gives one batch item's loss parts and
-    gradient dict, averaged over each batch.  interval_names stay frozen
-    for config.freeze_interval_epochs, then train at the decayed rate.
-    Returns the final parameters and the loss history.
+    loss_and_grads(item) gives one batch item's loss parts and gradient
+    dict, computed from the arrays in params, and the gradients are
+    averaged over each batch.  adam_step then updates those arrays in
+    place, so whatever a step built from them must not be read after it.
+    interval_names stay frozen for config.freeze_interval_epochs, then
+    train at the decayed rate.  Returns the loss history.
     """
     if not batches:
         raise ValueError("at least one image pair is required")
@@ -344,10 +355,10 @@ def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig, interv
     for epoch in range(config.epochs):
         train_intervals = epoch >= config.freeze_interval_epochs
         for batch in batches:
-            item_parts, acc = loss_and_grads(params, batch[0])
+            item_parts, acc = loss_and_grads(batch[0])
             parts = np.array(item_parts)
             for item in batch[1:]:
-                item_parts, grads = loss_and_grads(params, item)
+                item_parts, grads = loss_and_grads(item)
                 parts += item_parts
                 for name in acc:
                     acc[name] += grads[name]
@@ -361,9 +372,9 @@ def _optimize(params: dict, loss_and_grads, batches, config: TrainConfig, interv
             if not train_intervals:
                 for name in interval_names:
                     del acc[name]
-            params = adam_step(params, acc, state, config, lr_scales)
+            adam_step(params, acc, state, config, lr_scales)
             history.append((len(history), *parts))
-    return params, np.asarray(history)
+    return np.asarray(history)
 
 
 def fit_direct(
@@ -384,13 +395,13 @@ def fit_direct(
     Returns the fitted Lattice and the per-step loss history as an array
     with columns HISTORY_COLUMNS.
     """
-    def build(params):
+    def build():
         logits = params["logits"]
         q = softmax_normalize(shared_to_full(logits[0]) if shared else logits)
         return Lattice(intervals_to_coordinates(q), params["values"]), q
 
-    def loss_and_grads(params, pair):
-        parts, g_table, g_logits = _lattice_loss_and_grads(*build(params), pair, weights)
+    def loss_and_grads(pair):
+        parts, g_table, g_logits = _lattice_loss_and_grads(*build(), pair, weights)
         if shared:
             g_logits = g_logits.sum(axis=0, keepdims=True)
         return parts, {"values": g_table, "logits": g_logits}
@@ -401,10 +412,8 @@ def fit_direct(
     }
     if not adaptive:
         config = replace(config, freeze_interval_epochs=config.epochs)
-    params, history = _optimize(
-        params, loss_and_grads, [[pair] for pair in pairs], config, ("logits",)
-    )
-    return build(params)[0], history
+    history = _optimize(params, loss_and_grads, [[pair] for pair in pairs], config, ("logits",))
+    return build()[0], history
 
 
 def predictor_forward(features, params: PredictorParams):
@@ -455,25 +464,26 @@ def train_predictor(
 
     Gradients are averaged over each mini-batch before stepping.  The
     interval head follows the same freeze/decay schedule as fit_direct,
-    counted in epochs.  Returns the trained parameters and the per-step
-    loss history.
+    counted in epochs.  The run's one PredictorParams is built and
+    checked once, by init_params, and Adam updates its arrays in place.
+    Returns those parameters and the per-step loss history.
     """
+    _check_integer("batch_size", batch_size)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    template = init_params(n_s, m, shared=shared, seed=config.seed)
+    params = init_params(n_s, m, shared=shared, seed=config.seed)
 
-    def loss_and_grads(arrays, item):
+    def loss_and_grads(item):
         pair, features = item
-        return _predictor_loss_and_grads(replace(template, **arrays), pair, features, weights)
+        return _predictor_loss_and_grads(params, pair, features, weights)
 
     # the inputs never change, so each pair's features are extracted once
     items = [(pair, extract_features(pair.image())) for pair in pairs]
     batches = [items[start : start + batch_size] for start in range(0, len(items), batch_size)]
-    arrays, history = _optimize(
-        {name: getattr(template, name) for name in PARAM_ARRAYS},
-        loss_and_grads, batches, config, ("g_weights", "g_bias"),
-    )
-    return replace(template, **arrays), history
+    # Adam writes through the object's own attribute dict, so an array it
+    # has to replace is replaced on params too
+    history = _optimize(vars(params), loss_and_grads, batches, config, ("g_weights", "g_bias"))
+    return params, history
 
 
 def write_history_csv(history, path) -> None:

@@ -53,3 +53,54 @@ def test_checker_finds_private_imports():
         "line 2: imports _read_int",
         "line 4: uses lutio._Tokens",
     ]
+
+
+def unused_imports(source):
+    """Names a module imports and never uses, as readable strings.
+
+    A name counts as used wherever it is read, including annotations.
+    `from __future__` imports and imports whose line carries
+    `# noqa: F401` are exempt.
+    """
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                if "# noqa: F401" not in lines[alias.lineno - 1]:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(name, alias.lineno)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name} is never used"
+            for name, line in sorted(imported.items(), key=lambda item: item[1])
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+                         ids=lambda p: p.name)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_unused_imports():
+    source = (
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import numpy as np\n"
+        "from .lattice import (\n"
+        "    Lattice,\n"
+        "    identity_lut,\n"
+        ")\n"
+        "from .predictor import PARAM_ARRAYS  # noqa: F401\n"
+        "from .transform import transform_image, validate_image\n"
+        "def f(x: Lattice) -> None:\n"
+        "    return np.asarray(validate_image(x))\n"
+    )
+    assert unused_imports(source) == [
+        "line 2: os is never used",
+        "line 6: identity_lut is never used",
+        "line 9: transform_image is never used",
+    ]

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from nulut import training, transform
-from nulut.predictor import PARAM_ARRAYS
+from nulut.predictor import PARAM_ARRAYS, PredictorParams
 from nulut.ppm import read_image, read_ppm, write_image
 from nulut.lattice import identity_lut, uniform_coordinates
 from nulut.transform import CHUNK_PIXELS, POOL_THREAD_NAME, transform_vjp
@@ -198,7 +198,7 @@ class TestAdam:
         params = {"w": np.array([1.0, -2.0])}
         state = AdamState()
         out = adam_step(params, {"w": np.zeros(2)}, state, TrainConfig())
-        np.testing.assert_array_equal(out["w"], params["w"])
+        np.testing.assert_array_equal(out["w"], [1.0, -2.0])
 
     def test_first_step_magnitude_is_learning_rate(self):
         config = TrainConfig(learning_rate=1e-3)
@@ -277,7 +277,7 @@ class TestChunkedAdam:
         config = TrainConfig(learning_rate=3e-3)
         lr_scales = {"matrix": 0.1}
         params = {name: rng.normal(size=shape) for name, shape in self.SHAPES.items()}
-        ref_params, ref_state = dict(params), AdamState()
+        ref_params, ref_state = {name: p.copy() for name, p in params.items()}, AdamState()
         state = AdamState()
         for step in range(6):
             # "one" is frozen for the first two steps, then joins in
@@ -300,28 +300,63 @@ class TestChunkedAdam:
         assert out["w"].shape == state.m["w"].shape == (0, 3)
         assert state.t == {"w": 1}
 
-    def test_leaves_its_inputs_unchanged(self, rng):
+    def test_updates_params_in_place_and_leaves_grads_unchanged(self, rng):
         params = {"w": rng.normal(size=(2, CHUNK_PIXELS + 5))}
         grads = {"w": rng.normal(size=(2, CHUNK_PIXELS + 5))}
-        kept = params["w"].tobytes(), grads["w"].tobytes()
+        w, kept = params["w"], grads["w"].tobytes()
+        ref = whole_array_adam_step({"w": w.copy()}, grads, AdamState(), TrainConfig())
         out = adam_step(params, grads, AdamState(), TrainConfig())
-        assert out["w"] is not params["w"]
-        assert (params["w"].tobytes(), grads["w"].tobytes()) == kept
+        assert grads["w"].tobytes() == kept
+        assert out is params
+        assert params["w"] is w
+        assert w.tobytes() == ref["w"].tobytes()
+
+    @pytest.mark.parametrize("kind", ["list", "int", "fortran", "read_only"])
+    def test_replaces_a_parameter_it_cannot_write_through(self, rng, kind):
+        ints = rng.integers(-9, 10, size=(3, 5))
+        floats = rng.normal(size=(3, 5))
+        read_only = floats.copy()
+        read_only.flags.writeable = False
+        given = {"list": floats.tolist(), "int": ints, "fortran": np.asfortranarray(floats),
+                 "read_only": read_only}[kind]
+        start = np.array(given, dtype=np.float64)
+        grads = [{"w": rng.normal(size=(3, 5))} for _ in range(2)]
+        ref, ref_state = {"w": start.copy()}, AdamState()
+        params, state = {"w": given}, AdamState()
+        for step, g in enumerate(grads):
+            ref = whole_array_adam_step(ref, g, ref_state, TrainConfig())
+            assert adam_step(params, g, state, TrainConfig()) is params
+            w = params["w"]
+            assert type(w) is np.ndarray and w.dtype == np.float64
+            assert w.flags.c_contiguous and w.flags.writeable
+            assert w.tobytes() == ref["w"].tobytes()
+            if step == 0:
+                replaced = w
+        # replaced once, then written in place; the caller's array is untouched
+        assert w is replaced and w is not given
+        assert np.array(given, dtype=np.float64).tobytes() == start.tobytes()
 
     def test_non_finite_gradient_raises_before_its_moments_move(self, rng):
         size = 2 * CHUNK_PIXELS + 3
         params = {"a": rng.normal(size=size), "b": rng.normal(size=size)}
         state = AdamState()
-        params = adam_step(params, {"a": rng.normal(size=size), "b": rng.normal(size=size)},
-                           state, TrainConfig())
-        moments = (state.m["b"].copy(), state.v["b"].copy(), state.t["b"])
         bad = rng.normal(size=size)
         bad[-1] = np.inf  # in the last chunk, after earlier chunks would have moved
-        with pytest.raises(TrainingDivergedError, match="non-finite gradient for 'b'"):
-            adam_step(params, {"a": rng.normal(size=size), "b": bad}, state, TrainConfig())
-        assert state.m["b"].tobytes() == moments[0].tobytes()
-        assert state.v["b"].tobytes() == moments[1].tobytes()
-        assert state.t["b"] == moments[2]
+
+        def snapshot():
+            return ({name: p.tobytes() for name, p in params.items()},
+                    {name: (state.m[name].tobytes(), state.v[name].tobytes(), state.t[name])
+                     for name in state.t})
+
+        # on fresh moments, then on moved ones; "a" comes before "b" either way
+        for _ in range(2):
+            kept = snapshot()
+            with pytest.raises(TrainingDivergedError, match="non-finite gradient for 'b'"):
+                adam_step(params, {"a": rng.normal(size=size), "b": bad}, state, TrainConfig())
+            assert snapshot() == kept
+            adam_step(params, {"a": rng.normal(size=size), "b": rng.normal(size=size)},
+                      state, TrainConfig())
+        assert state.t == {"a": 2, "b": 2}
 
 
 class TestFitDirect:
@@ -407,6 +442,31 @@ class TestTrainConfigValidation:
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             TrainConfig(seed=-1)
+
+    @pytest.mark.parametrize("field", ["epochs", "freeze_interval_epochs", "seed"])
+    @pytest.mark.parametrize("value", [3.0, 1.5, True, "3", None])
+    def test_non_integer_count_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [2.0, 1.5, True, "2", None])
+    def test_non_integer_batch_size_rejected(self, rng, value):
+        img = rng.random((3, 4, 4))
+        config = TrainConfig(epochs=1, freeze_interval_epochs=0)
+        with pytest.raises(ValueError, match="^batch_size must be an integer, got"):
+            train_predictor([ImagePair(img, img)], 3, 1, config, batch_size=value)
+
+    def test_numpy_integers_accepted(self, rng):
+        img = rng.random((3, 4, 4))
+        pairs = [ImagePair(img, img**0.5)] * 2
+        config = TrainConfig(learning_rate=1e-2, epochs=np.int64(2),
+                             freeze_interval_epochs=np.int32(1), seed=np.uint8(3))
+        expected = TrainConfig(learning_rate=1e-2, epochs=2, freeze_interval_epochs=1, seed=3)
+        params, history = train_predictor(pairs, 3, 2, config, batch_size=np.int64(2))
+        ref_params, ref_history = train_predictor(pairs, 3, 2, expected, batch_size=2)
+        assert history.tobytes() == ref_history.tobytes()
+        for name in PARAM_ARRAYS:
+            assert getattr(params, name).tobytes() == getattr(ref_params, name).tobytes()
 
 
 class TestImagePair:
@@ -587,6 +647,21 @@ class TestTrainPredictorBasics:
 
         with pytest.raises(ValueError, match="at least one image pair"):
             train_predictor([], 3, 1, TrainConfig(epochs=1, freeze_interval_epochs=0))
+
+    def test_a_run_checks_its_parameters_once(self, rng, monkeypatch):
+        checks = []
+        check = PredictorParams.__post_init__
+
+        def counted(params):
+            checks.append(params)
+            check(params)
+
+        monkeypatch.setattr(PredictorParams, "__post_init__", counted)
+        pairs = [ImagePair(img, img**0.5) for img in rng.random((2, 3, 8, 8))]
+        config = TrainConfig(learning_rate=1e-2, epochs=3, freeze_interval_epochs=1)
+        params, history = train_predictor(pairs, 3, 2, config)
+        assert len(history) == 6
+        assert len(checks) == 1 and checks[0] is params
 
     def test_determinism(self, rng):
         from nulut.training import train_predictor
