@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import check_integer
 from .transform import check_image_shape
 
 DEFAULT_BINS = 1000
@@ -64,6 +65,7 @@ def bin_indices(values: np.ndarray, n_bin: int) -> np.ndarray:
 def accumulative_error_histogram(x, y, n_bin: int = DEFAULT_BINS) -> ErrorHistogram:
     """Bin the squared error by input value, per channel, and accumulate."""
     a, b = check_pair(x, y)
+    check_integer("n_bin", n_bin)
     if n_bin < 1:
         raise ValueError(f"n_bin must be >= 1, got {n_bin}")
     d = error_map(a, b)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import Lattice, coordinates_from_logits, identity_lut
+from .lattice import Lattice, check_integer, coordinates_from_logits, identity_lut
 from .transform import lookup_with_count, transform_image
 
 
@@ -70,6 +70,8 @@ def run_bench(
     sizes, threads: int = 1, repeat: int = 3, n_s: int = 33, seed: int = 0
 ) -> BenchReport:
     """Time the transform on random images of the given (width, height) sizes."""
+    for name, value in (("threads", threads), ("repeat", repeat), ("n_s", n_s), ("seed", seed)):
+        check_integer(name, value)
     if repeat < 1:
         raise ValueError("repeat must be >= 1")
     if threads < 1:
@@ -79,6 +81,8 @@ def run_bench(
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     for width, height in sizes:
+        check_integer("width", width)
+        check_integer("height", height)
         if width < 1 or height < 1:
             raise ValueError(f"sizes must be at least 1x1, got {width}x{height}")
     rng = np.random.default_rng(seed)

@@ -23,6 +23,17 @@ MIN_INTERVAL = 1e-6
 _COORD_END_TOL = 1e-9
 
 
+def check_integer(name, value) -> None:
+    """Raise ValueError naming the field unless value is an integer (not a bool).
+
+    The one check every library entry runs on its sizes and counts, so a
+    float such as 3.0 is refused by name instead of being truncated or
+    failing later without one.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def softmax_normalize(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax of interval logits, floored at MIN_INTERVAL.
 
@@ -72,6 +83,7 @@ def uniform_coordinates(n_s: int) -> np.ndarray:
     Entries are computed as i / (n_s - 1) so that resampling onto a
     uniform grid of the same size hits the knots bit-exactly.
     """
+    check_integer("n_s", n_s)
     if n_s < 2:
         raise ValueError(f"n_s must be >= 2, got {n_s}")
     row = np.arange(n_s, dtype=np.float64) / (n_s - 1)

@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import Lattice, check_integer
 from .predictor import PARAM_ARRAYS, PredictorParams, param_shapes
 from .transform import transform_image
 
@@ -181,6 +181,7 @@ def export_cube(lattice: Lattice, n_out: int, path) -> None:
     Grid index k stands for k / (n_out - 1), the transform's quantized
     levels.  Lines run with the red index fastest, as the format requires.
     """
+    check_integer("n_out", n_out)
     if not 2 <= n_out <= MAX_CUBE_SIZE:
         raise ValueError(f"cube size must lie in [2, {MAX_CUBE_SIZE}], got {n_out}")
     line = np.arange(n_out**3)

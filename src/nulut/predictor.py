@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import bin_indices
-from .lattice import identity_lut, shared_to_full, uniform_coordinates
+from .lattice import check_integer, identity_lut, shared_to_full, uniform_coordinates
 from .transform import validate_image
 
 HIST_BINS = 32
@@ -103,6 +103,8 @@ def init_params(
     blend of basis 0, which is the identity table on the uniform grid;
     the remaining bases are small random perturbations.
     """
+    for name, value in (("n_s", n_s), ("m", m), ("f_dim", f_dim)):
+        check_integer(name, value)
     if n_s < 2 or m < 1 or f_dim < 1:
         raise ValueError(f"invalid dimensions n_s={n_s}, m={m}, f_dim={f_dim}")
     shapes = param_shapes(n_s, m, f_dim, shared)

@@ -25,6 +25,7 @@ from . import transform
 from .analysis import check_pair
 from .lattice import (
     Lattice,
+    check_integer,
     coordinate_logit_vjp,
     identity_lut,
     intervals_to_coordinates,
@@ -61,12 +62,6 @@ class LossWeights:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-def _check_integer(name, value):
-    """Raise ValueError naming the field unless value is an integer (not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     """The schedule both regimes share; Adam's betas and eps are AdaInt's, the ADAM_* constants."""
@@ -79,7 +74,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("epochs", "freeze_interval_epochs", "seed"):
-            _check_integer(name, getattr(self, name))
+            check_integer(name, getattr(self, name))
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
         if not (np.isfinite(self.interval_lr_decay) and self.interval_lr_decay >= 0):
@@ -468,7 +463,7 @@ def train_predictor(
     checked once, by init_params, and Adam updates its arrays in place.
     Returns those parameters and the per-step loss history.
     """
-    _check_integer("batch_size", batch_size)
+    check_integer("batch_size", batch_size)
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
     params = init_params(n_s, m, shared=shared, seed=config.seed)

@@ -14,22 +14,22 @@ is located in one of two ways:
   here: MAX_MAXVAL and check_maxval, which ppm reads and writes by.
 
 Each call decides its route once, in _route: it validates the input,
-builds the level tables on the level route, and gives every block two
-steps, locate (what the block keeps from forward to backward) and cells
-(its low corners, weight pairs and knots).  One blend core and one
-backward core run on those for transform_image, transform_vjp and
-backward_pixel, which is transform_vjp on a 1x1 image.  The backward
-returns analytic gradients of the output with respect to the table
-values, the sampling coordinates, and the input colors, so the whole
-lattice, knot positions included, can be fitted by gradient descent.
-transform_vjp is the training step's single pass: its forward locates
-each pixel's cell once and blends it, and its backward computes every
-gradient from the same cells (low knot index, cell width and offset).
-The float route keeps its located cells; the level route keeps only
-the samples, and its backward gathers the cells again from the level
-tables.  transform_image keeps nothing once a block is blended.  The
-backward dots the output gradient with each corner's three channels
-once, then chains that sum along each axis.
+builds the level tables on the level route, and gives every row block
+one step, cells, which finds the block's cells (low corners, weight
+pairs and knots) from its input rows.  One blend core and one backward
+core run on those for transform_vjp and backward_pixel, which is
+transform_vjp on a 1x1 image; transform_image is transform_vjp's
+forward.  The backward returns analytic gradients of the output with
+respect to the table values, the sampling coordinates, and the input
+colors, so the whole lattice, knot positions included, can be fitted by
+gradient descent.  transform_vjp is the training step's single pass,
+with one lifecycle on both routes: its forward finds each block's cells
+and blends them, and keeps nothing; its backward finds each block's
+cells again from the same rows (the float route by binary search, the
+level route from the tables) and computes every gradient from them.
+Finding cells is pure, so both passes see the same bits.  The backward
+dots the output gradient with each corner's three channels once, then
+chains that sum along each axis.
 
 Per-pixel work is independent, so images are processed in row blocks.
 One grid, row_blocks, serves the forward transform, the training pass
@@ -51,10 +51,11 @@ little beyond the arrays it returns and the bincount scatters.  No
 returned array views a workspace.  The price is memory kept between
 calls: every thread that has run blocks, the callers included, holds
 its workspace for as long as it lives, about 104 bytes per block pixel
-after a float apply, 128 after a quantized one and 216 after a training
-backward; at CHUNK_PIXELS that is 3.4, 4.2 and 7.1 MB per thread.  Pool
-threads live until the pool grows or the interpreter exits, so a
-long-lived process keeps about usable_cpus times that.
+after a float apply, 128 after a quantized one, 192 after a float
+training backward and 216 after a quantized one; at CHUNK_PIXELS that
+is 3.4, 4.2, 6.3 and 7.1 MB per thread.  Pool threads live until the
+pool grows or the interpreter exits, so a long-lived process keeps
+about usable_cpus times that.
 """
 
 from __future__ import annotations
@@ -93,8 +94,9 @@ def lookup_with_count(coords_row: np.ndarray, x: float) -> tuple[LookupResult, i
     """Like lookup, also reporting how many comparisons the search used.
 
     The cell is the rightmost knot index e0 with coords_row[e0] <= x,
-    clamped to n_s - 2, so x = 1.0 lands inside the last cell with offset
-    1 instead of falling off the table.
+    clamped to [0, n_s - 2] as _locate clamps it, so x = 1.0 lands inside
+    the last cell with offset 1 instead of falling off the table, and a
+    query below a row's first knot lands in the first cell.
     """
     if not 0.0 <= x <= 1.0:
         raise ValueError(f"query must lie in [0, 1], got {x}")
@@ -108,7 +110,7 @@ def lookup_with_count(coords_row: np.ndarray, x: float) -> tuple[LookupResult, i
             lo = mid + 1
         else:
             hi = mid
-    e0 = min(lo - 1, n - 2)
+    e0 = max(0, min(lo - 1, n - 2))
     result = LookupResult(e0, e0 + 1, float(coords_row[e0]), float(coords_row[e0 + 1]))
     return result, comparisons
 
@@ -457,25 +459,23 @@ def map_blocks(run, blocks, workers):
 def _route(img, lattice: Lattice, maxval):
     """Validate one call's input once and decide how its blocks find their cells.
 
-    Returns (a, locate, cells).  a is the checked array.  locate(r0, r1)
-    gives what rows r0:r1 keep between the forward and the backward: on
-    the float route (maxval=None) the located cells (e0, gap, xd); on the
-    level route only the samples, a view of a.  cells(kept) gives those
-    rows' flat low-corner indices and weight pairs, in the thread's
-    workspace, and _backward_block's knots_of for them.
+    Returns (a, cells).  a is the checked array.  cells(r0, r1) finds the
+    cells of rows r0:r1 from those rows of a: their flat low-corner
+    indices and weight pairs, in the thread's workspace, and
+    _backward_block's knots_of for them.  The float route (maxval=None)
+    locates them by binary search; the level route gathers them from
+    tables built here once per call.  Finding them is pure, so neither
+    route keeps a block's cells between the forward and the backward.
     """
     n = lattice.n_s
     if maxval is None:
         a = validate_image(img)
 
-        def locate(r0, r1):
-            return _locate(lattice.coords, _rows(a, r0, r1))
-
-        def cells(kept):
-            e0, gap, xd = kept
+        def cells(r0, r1):
+            e0, gap, xd = _locate(lattice.coords, _rows(a, r0, r1))
             return (*_cell_weights(e0, xd, n), _cell_knots(e0, gap))
 
-        return a, locate, cells
+        return a, cells
     a = validate_samples(img, maxval)
     # the float route's cells for the floats k / maxval, so gathering them
     # by sample k gives bit-identical cells.  int(): maxval + 1 on a uint16
@@ -487,11 +487,11 @@ def _route(img, lattice: Lattice, maxval):
     offsets = level_e0 * np.array([[n * n], [n], [1]])
     weights = _weight_pairs(level_xd)
 
-    def cells(samples):
-        sidx, base, pairs = _level_weights(samples, offsets, weights)
+    def cells(r0, r1):
+        sidx, base, pairs = _level_weights(a[:, r0:r1, :], offsets, weights)
         return base, pairs, _level_knots(sidx, level_e0, level_gap)
 
-    return a, lambda r0, r1: a[:, r0:r1, :], cells
+    return a, cells
 
 
 def transform_image(
@@ -505,24 +505,14 @@ def transform_image(
     located through per-level tables; the output is bit-identical to
     transforming img / maxval.
 
+    This is transform_vjp's forward, which keeps no block's cells, so
+    nothing outlives the call but the output.
+
     The output is not clamped; clamping to [0, 1] belongs at the final
     image-writing boundary, never inside a training loop where it would
     zero gradients.
     """
-    a, locate, cells = _route(img, lattice, maxval)
-    n = lattice.n_s
-    flat = lattice.values.reshape(3, n * n * n)
-    h, w = a.shape[1], a.shape[2]
-    out = np.empty_like(a, dtype=np.float64)
-
-    # unlike transform_vjp's forward, this drops a block's located cells
-    # once it is blended: kept, float cells would cost 72 bytes a pixel
-    def run(block):
-        r0, r1 = block
-        out[:, r0:r1, :] = _blend(flat, n, *cells(locate(r0, r1))[:2]).reshape(3, r1 - r0, w)
-
-    map_blocks(run, row_blocks(h, w), workers)
-    return out
+    return transform_vjp(img, lattice, workers, maxval=maxval)[0]
 
 
 @dataclass
@@ -643,18 +633,15 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
     Returns (out, backward).  img is read as transform_image reads it:
     floats in [0, 1] with maxval=None, or integer samples in [0, maxval]
     standing for sample / maxval; both give the same bits.  The route is
-    decided once per call, by _route.  The forward locates each pixel's
-    cell once, per row_blocks block, and keeps what the backward needs
-    to find it again: the float route keeps its located cells (e0, gap,
-    xd); the level route keeps only the samples, and its backward
-    gathers each block's low corners and weight pairs from the level
-    tables again, and its knot indices and cell widths one axis at a
-    time.  backward(grad_output) turns the loss gradient w.r.t. out into
-    LatticeGradients from those cells.  Table and coordinate gradients
-    are accumulated into per-block buffers that are reduced in block
-    order, so the result does not depend on the number of workers.
+    decided once per call, by _route.  The forward finds each row_blocks
+    block's cells and blends them, and keeps nothing but out.
+    backward(grad_output) finds each block's cells again from the same
+    input rows, by the same pure steps, and turns the loss gradient
+    w.r.t. out into LatticeGradients from them.  Table and coordinate
+    gradients are accumulated into per-block buffers that are reduced in
+    block order, so the result does not depend on the number of workers.
     """
-    a, locate, cells = _route(img, lattice, maxval)
+    a, cells = _route(img, lattice, maxval)
     n = lattice.n_s
     flat = lattice.values.reshape(3, n * n * n)
     h, w = a.shape[1], a.shape[2]
@@ -663,11 +650,9 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
 
     def forward(block):
         r0, r1 = block
-        kept = locate(r0, r1)
-        out[:, r0:r1, :] = _blend(flat, n, *cells(kept)[:2]).reshape(3, r1 - r0, w)
-        return kept
+        out[:, r0:r1, :] = _blend(flat, n, *cells(r0, r1)[:2]).reshape(3, r1 - r0, w)
 
-    located = list(zip(blocks, map_blocks(forward, blocks, workers)))
+    map_blocks(forward, blocks, workers)
 
     def backward(grad_output) -> LatticeGradients:
         g = np.asarray(grad_output, dtype=np.float64)
@@ -678,12 +663,12 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
         # C-ordered whatever a's layout, so each block's rows are a view of it
         grad_input = np.empty(a.shape)
 
-        def run(item):
-            (r0, r1), kept = item
-            return _backward_block(*cells(kept), _rows(g, r0, r1), flat, n,
+        def run(block):
+            r0, r1 = block
+            return _backward_block(*cells(r0, r1), _rows(g, r0, r1), flat, n,
                                    _rows(grad_input, r0, r1))
 
-        parts = map_blocks(run, located, workers)
+        parts = map_blocks(run, blocks, workers)
         # each block's table gradient is a sum started from zeros, so it holds
         # no -0.0 and starting from the first block's gives the bits that
         # starting from zeros would; the knot gradients are negated, so not theirs

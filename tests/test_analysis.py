@@ -110,6 +110,12 @@ class TestAccumulativeErrorHistogram:
         with pytest.raises(ValueError):
             accumulative_error_histogram(img, img, n_bin=0)
 
+    @pytest.mark.parametrize("n_bin", [2.5, 8.0, True, None])
+    def test_rejects_non_integer_bins_by_name(self, rng, n_bin):
+        img = rng.random((3, 2, 2))
+        with pytest.raises(ValueError, match="^n_bin must be an integer, got"):
+            accumulative_error_histogram(img, img, n_bin=n_bin)
+
 
 @pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0)])
 @pytest.mark.parametrize("measure", [error_map, psnr, accumulative_error_histogram])

@@ -45,6 +45,13 @@ class TestRunBench:
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"sizes": [(4, 4), (0, 4)]}, "sizes must be at least 1x1, got 0x4"),
         ({"sizes": [(3, -1)]}, "sizes must be at least 1x1, got 3x-1"),
+        ({"threads": 1.5}, "threads must be an integer, got 1.5"),
+        ({"threads": True}, "threads must be an integer, got True"),
+        ({"repeat": 1.5}, "repeat must be an integer, got 1.5"),
+        ({"n_s": 5.0}, "n_s must be an integer, got 5.0"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"sizes": [(4.0, 4)]}, "width must be an integer, got 4.0"),
+        ({"sizes": [(4, 4), (4, 2.5)]}, "height must be an integer, got 2.5"),
     ])
     def test_out_of_range_rejected_before_drawing(self, monkeypatch, options, message):
         def no_draws(*args, **kwargs):

@@ -108,6 +108,14 @@ class TestUniformCoordinates:
         with pytest.raises(ValueError):
             uniform_coordinates(1)
 
+    @pytest.mark.parametrize("n_s", [2.5, 3.0, True, "3", None])
+    def test_rejects_non_integer_n_by_name(self, n_s):
+        with pytest.raises(ValueError, match="^n_s must be an integer, got"):
+            uniform_coordinates(n_s)
+
+    def test_numpy_integer_accepted(self):
+        assert uniform_coordinates(np.int64(5)).tobytes() == uniform_coordinates(5).tobytes()
+
 
 class TestIdentityLut:
     def test_two_knot_corner_values(self):

@@ -311,6 +311,13 @@ class TestExportCube:
         with pytest.raises(ValueError):
             export_cube(random_lattice(rng, 3), 1, tmp_path / "x.cube")
 
+    @pytest.mark.parametrize("n_out", [3.0, 2.5, True])
+    def test_rejects_non_integer_size_by_name(self, rng, tmp_path, n_out):
+        path = tmp_path / "x.cube"
+        with pytest.raises(ValueError, match="^n_out must be an integer, got"):
+            export_cube(random_lattice(rng, 3), n_out, path)
+        assert not path.exists()
+
     @pytest.mark.parametrize("n_out", [257, 5000, 65537])
     def test_rejects_size_above_the_cube_limit(self, rng, tmp_path, n_out):
         path = tmp_path / "x.cube"

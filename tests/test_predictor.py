@@ -162,6 +162,13 @@ class TestInitParams:
         with pytest.raises(ValueError):
             init_params(n_s=1, m=1)
 
+    @pytest.mark.parametrize("field", ["n_s", "m", "f_dim"])
+    @pytest.mark.parametrize("value", [3.0, 2.5, True])
+    def test_rejects_non_integer_dims_by_name(self, field, value):
+        dims = {"n_s": 3, "m": 2, "f_dim": 4, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
+            init_params(**dims)
+
 
 class TestEndToEndGradients:
     def test_every_head_matches_finite_differences(self, rng):

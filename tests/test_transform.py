@@ -46,6 +46,13 @@ class TestLookup:
     def test_right_boundary_clamps_into_last_cell(self):
         assert lookup(self.COORDS, 1.0) == (2, 3, 0.75, 1.0)
 
+    def test_query_below_the_first_knot_clamps_to_the_first_cell(self):
+        # as _locate clamps it
+        row = np.array([0.5, 1.0])
+        assert lookup(row, 0.1) == (0, 1, 0.5, 1.0)
+        e0, _, _ = transform._locate(np.tile(row, (3, 1)), np.full((3, 1), 0.1))
+        assert np.all(e0 == 0)
+
     def test_exact_knot_goes_right(self):
         # a knot belongs to the cell it opens: left neighbor uses <=
         assert lookup(self.COORDS, 0.25) == (1, 2, 0.25, 0.75)
@@ -543,27 +550,65 @@ def test_warm_backward_allocates_only_its_results(rng):
 
 
 def test_warm_float_transform_keeps_no_located_cells(rng):
-    """A warm float transform_image traces its output and one block's temporaries.
+    """A warm float forward traces its output and one block's temporaries.
 
-    Its blocks drop their located cells (e0, gap, xd: 72 bytes a pixel)
-    once blended; transform_vjp's forward keeps them for its backward.
+    Neither transform_image nor transform_vjp's forward keeps a block's
+    located cells (e0, gap, xd: 72 bytes a pixel) once it is blended,
+    even while the backward transform_vjp returns is held: that backward
+    finds each block's cells again.
     """
     size, n = 512, 17
     img = rng.random((3, size, size))
     lattice = random_lattice(rng, n)
     blocks = row_blocks(size, size)
     assert len(blocks) > 1
-    transform_image(img, lattice)
-    tracemalloc.start()
-    try:
-        transform_image(img, lattice)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
     block_pixels = max(r1 - r0 for r0, r1 in blocks) * size
     allowed = (
         3 * size * size * 8  # the output
         + 3 * size * size  # validation's isfinite mask
         + 6 * 3 * block_pixels * 8  # one block: _locate's five (3, p) temporaries, the blend
     )
-    assert peak <= allowed
+    for name, forward in {
+        "transform_image": lambda: transform_image(img, lattice),
+        "transform_vjp": lambda: transform_vjp(img, lattice),
+    }.items():
+        forward()
+        tracemalloc.start()
+        try:
+            held = forward()  # transform_vjp's backward stays alive while measured
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= allowed, name
+
+
+@pytest.mark.parametrize("call,bytes_per_pixel", [
+    ("float apply", 104),
+    ("quantized apply", 128),
+    ("float backward", 192),
+    ("quantized backward", 216),
+])
+def test_workspace_holds_the_documented_bytes_per_block_pixel(rng, call, bytes_per_pixel):
+    """The workspace sizes the module docstring states, on a fresh thread."""
+    shape = (3, CHUNK_PIXELS // 512, 512)  # one full block
+    assert row_blocks(*shape[1:]) == [(0, shape[1])]
+    lattice = random_lattice(rng, 17)
+    img = rng.random(shape)
+    samples = rng.integers(0, 256, size=shape, dtype=np.uint8)
+    g = rng.standard_normal(shape)
+    run = {
+        "float apply": lambda: transform_image(img, lattice),
+        "quantized apply": lambda: transform_image(samples, lattice, maxval=255),
+        "float backward": lambda: transform_vjp(img, lattice)[1](g),
+        "quantized backward": lambda: transform_vjp(samples, lattice, maxval=255)[1](g),
+    }[call]
+    kept = []
+
+    def fresh():
+        run()
+        kept.append(sum(buf.nbytes for buf in transform._WORKSPACE.buffers.values()))
+
+    thread = threading.Thread(target=fresh)
+    thread.start()
+    thread.join()
+    assert kept == [bytes_per_pixel * CHUNK_PIXELS]
