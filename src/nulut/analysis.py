@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lattice import check_integer
-from .transform import check_image_shape
+from .transform import check_image_shape, validate_image
 
 DEFAULT_BINS = 1000
 
@@ -63,8 +63,15 @@ def bin_indices(values: np.ndarray, n_bin: int) -> np.ndarray:
 
 
 def accumulative_error_histogram(x, y, n_bin: int = DEFAULT_BINS) -> ErrorHistogram:
-    """Bin the squared error by input value, per channel, and accumulate."""
+    """Bin the squared error by input value, per channel, and accumulate.
+
+    x must hold finite values in [0, 1], the range the bins cover, and
+    y finite values.
+    """
     a, b = check_pair(x, y)
+    validate_image(a)
+    if not np.all(np.isfinite(b)):
+        raise ValueError("y values must be finite")
     check_integer("n_bin", n_bin)
     if n_bin < 1:
         raise ValueError(f"n_bin must be >= 1, got {n_bin}")

@@ -50,6 +50,16 @@ class TrainingDivergedError(RuntimeError):
     """Raised when a loss or gradient stops being finite or explodes."""
 
 
+def _check_real(name, value, zero_ok):
+    """Raise ValueError naming the field unless value is a finite real number
+    (not a bool) that is positive, or non-negative with zero_ok."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    if not (np.isfinite(value) and (value >= 0 if zero_ok else value > 0)):
+        raise ValueError(f"{name} must be finite and "
+                         f"{'non-negative' if zero_ok else 'positive'}, got {value}")
+
+
 @dataclass(frozen=True)
 class LossWeights:
     lambda_s: float = 0.0001  # curvature penalty weight
@@ -57,9 +67,7 @@ class LossWeights:
 
     def __post_init__(self):
         for name in ("lambda_s", "lambda_m"):
-            value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+            _check_real(name, getattr(self, name), zero_ok=True)
 
 
 @dataclass(frozen=True)
@@ -75,12 +83,8 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("epochs", "freeze_interval_epochs", "seed"):
             check_integer(name, getattr(self, name))
-        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
-        if not (np.isfinite(self.interval_lr_decay) and self.interval_lr_decay >= 0):
-            raise ValueError(
-                f"interval_lr_decay must be finite and non-negative, got {self.interval_lr_decay}"
-            )
+        _check_real("learning_rate", self.learning_rate, zero_ok=False)
+        _check_real("interval_lr_decay", self.interval_lr_decay, zero_ok=True)
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if self.seed < 0:

@@ -8,28 +8,31 @@ is located in one of two ways:
   the sampling coordinates are sorted);
 * quantized input, integer samples k in [0, maxval] standing for
   k / maxval, indexes per-axis tables built once per call for the
-  maxval + 1 levels.  The tables hold each level's flat-index offset
-  and weight pair, computed by the float path's own expressions, so the
+  maxval + 1 levels.  The tables hold each level's low knot index and
+  weight pair, computed by the float path's own expressions, so the
   two ways give bit-identical results.  The maxval range is owned
   here: MAX_MAXVAL and check_maxval, which ppm reads and writes by.
 
-Each call decides its route once, in _route: it validates the input,
-builds the level tables on the level route, and gives every row block
-one step, cells, which finds the block's cells (low corners, weight
-pairs and knots) from its input rows.  One blend core and one backward
-core run on those for transform_vjp and backward_pixel, which is
-transform_vjp on a 1x1 image; transform_image is transform_vjp's
-forward.  The backward returns analytic gradients of the output with
-respect to the table values, the sampling coordinates, and the input
-colors, so the whole lattice, knot positions included, can be fitted by
-gradient descent.  transform_vjp is the training step's single pass,
-with one lifecycle on both routes: its forward finds each block's cells
-and blends them, and keeps nothing; its backward finds each block's
-cells again from the same rows (the float route by binary search, the
-level route from the tables) and computes every gradient from them.
-Finding cells is pure, so both passes see the same bits.  The backward
-dots the output gradient with each corner's three channels once, then
-chains that sum along each axis.
+Both ways give a cell one representation: its low knot index e0 on
+each axis and its per-axis weight pairs (1 - xd, xd).  A cell's width,
+the gap between knots e0 and e0 + 1, belongs to the lattice, so the
+backward gathers it by e0 from widths computed once per call.  Each
+call decides its route once, in _route: it validates the input, builds
+the level tables on the level route, and gives every row block one
+step, cells, which finds the block's cells from its input rows.  One
+blend core and one backward core run on those for transform_vjp and
+backward_pixel, which is transform_vjp on a 1x1 image; transform_image
+is transform_vjp's forward.  The backward returns analytic gradients of
+the output with respect to the table values, the sampling coordinates,
+and the input colors, so the whole lattice, knot positions included,
+can be fitted by gradient descent.  transform_vjp is the training
+step's single pass, with one lifecycle on both routes: its forward
+finds each block's cells and blends them, and keeps nothing; its
+backward finds each block's cells again from the same rows (the float
+route by binary search, the level route from the tables) and computes
+every gradient from them.  Finding cells is pure, so both passes see
+the same bits.  The backward dots the output gradient with each
+corner's three channels once, then chains that sum along each axis.
 
 Per-pixel work is independent, so images are processed in row blocks.
 One grid, row_blocks, serves the forward transform, the training pass
@@ -69,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Lattice
+from .lattice import Lattice, check_integer
 
 CHUNK_ROWS = 64
 CHUNK_PIXELS = 32768
@@ -177,7 +180,7 @@ def transform_pixel(pixel, lattice: Lattice) -> np.ndarray:
 
 
 def _locate(coords, pix):
-    """Low knot index e0, cell width gap and offset xd for pixel columns (3, p)."""
+    """Low knot indices e0 and cell offsets xd of pixel columns (3, p)."""
     n = coords.shape[1]
     e0 = np.empty(pix.shape, dtype=np.intp)
     for c in range(3):
@@ -192,7 +195,7 @@ def _locate(coords, pix):
     gap -= x0
     xd = pix - x0
     xd /= gap
-    return e0, gap, xd
+    return e0, xd
 
 
 class _Workspace(threading.local):
@@ -213,9 +216,11 @@ def _scratch(slot, shape, dtype=np.float64):
     when a larger block asks for it and is never seen by another thread,
     so a block may overwrite it freely; nothing that outlives the block
     may view it.  Slots are named by role and reused across phases:
-    "corner" holds the gathered corners, then the backward's knot
-    indices; "wrg" and "w" hold the chain's terms, and "cw" the level
-    route's cell widths.
+    "idx" holds the level route's samples of one channel, then corner
+    indices; "e0" the level route's low knot indices (the float route's
+    come from _locate); "corner" the gathered corners, then the
+    backward's knot indices; "wrg" and "w" the chain's terms; and "cw"
+    the backward's weighted output gradients, then the cell widths.
     """
     dtype = np.dtype(dtype)
     nbytes = dtype.itemsize * math.prod(shape)
@@ -248,16 +253,14 @@ def _weight_pairs(xd, out=None):
     return pairs
 
 
-def _cell_weights(e0, xd, n):
-    """Flat low-corner index and weight pairs of located cells, in the workspace."""
-    p = e0.shape[1]
-    # (e_r * n + e_g) * n + e_b, the flat index of the low corner
-    base = _scratch("base", (p,), np.intp)
+def _base_index(e0, n):
+    """Flat index (e_r * n + e_g) * n + e_b of cells' low corners, in the workspace."""
+    base = _scratch("base", (e0.shape[1],), np.intp)
     np.multiply(e0[0], n, out=base)
     base += e0[1]
     base *= n
     base += e0[2]
-    return base, _weight_pairs(xd, _scratch("pairs", (3, 2, p)))
+    return base
 
 
 def _blend(flat, n, base, pairs):
@@ -300,30 +303,27 @@ def _transform_block(pix, coords, values):
     go through _route.
     """
     n = coords.shape[1]
-    e0, _, xd = _locate(coords, pix)
-    return _blend(values.reshape(3, n * n * n), n, *_cell_weights(e0, xd, n))
+    e0, xd = _locate(coords, pix)
+    return _blend(values.reshape(3, n * n * n), n, _base_index(e0, n), _weight_pairs(xd))
 
 
-def _level_weights(samples, offsets, weights):
-    """Samples as indices, low-corner index and weight pairs, in the workspace.
+def _level_cells(samples, e0_table, pairs_table):
+    """Low knot indices e0 (3, p) and weight pairs of samples, in the workspace.
 
-    samples is a (3, rows, w) block of quantized samples, gathered
-    through _route's level tables.  Sample values are validated to
-    [0, maxval], the tables' range, so mode="clip" never clips.
+    samples is a (3, rows, w) block of quantized samples; each channel's
+    are copied into the "idx" slot as indices into _route's level
+    tables.  Sample values are validated to [0, maxval], the tables'
+    range, so mode="clip" never clips.
     """
     p = samples.shape[1] * samples.shape[2]
-    sidx = _scratch("samples", (3, p), np.intp)
-    np.copyto(sidx.reshape(samples.shape), samples, casting="unsafe")
-    base = _scratch("base", (p,), np.intp)
-    offset = _scratch("idx", (p,), np.intp)
-    offsets[0].take(sidx[0], out=base, mode="clip")
-    for c in (1, 2):
-        offsets[c].take(sidx[c], out=offset, mode="clip")
-        base += offset
+    sidx = _scratch("idx", (p,), np.intp)
+    e0 = _scratch("e0", (3, p), np.intp)
     pairs = _scratch("pairs", (3, 2, p))
     for c in range(3):
-        weights[c].take(sidx[c], axis=1, out=pairs[c], mode="clip")
-    return sidx, base, pairs
+        np.copyto(sidx.reshape(samples.shape[1:]), samples[c], casting="unsafe")
+        e0_table[c].take(sidx, out=e0[c], mode="clip")
+        pairs_table[c].take(sidx, axis=1, out=pairs[c], mode="clip")
+    return e0, pairs
 
 
 def check_maxval(maxval) -> None:
@@ -416,7 +416,12 @@ def map_blocks(run, blocks, workers):
     Each thread that runs blocks keeps the workspace buffers its blocks
     grew after the call returns (up to 7.1 MB for a training backward,
     see the module docstring), so the pool's memory grows with workers.
+    workers must be an integer >= 1; every transform entry checks it
+    here, before the pool is touched.
     """
+    check_integer("workers", workers)
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
     threads = min(workers, len(blocks))
     if threads <= 1:
         return [run(block) for block in blocks]
@@ -459,37 +464,37 @@ def map_blocks(run, blocks, workers):
 def _route(img, lattice: Lattice, maxval):
     """Validate one call's input once and decide how its blocks find their cells.
 
-    Returns (a, cells).  a is the checked array.  cells(r0, r1) finds the
-    cells of rows r0:r1 from those rows of a: their flat low-corner
-    indices and weight pairs, in the thread's workspace, and
-    _backward_block's knots_of for them.  The float route (maxval=None)
-    locates them by binary search; the level route gathers them from
-    tables built here once per call.  Finding them is pure, so neither
-    route keeps a block's cells between the forward and the backward.
+    Returns (a, cells).  a is the checked array.  A cell is its low knot
+    indices e0 (3, p) and its per-axis weight pairs; cells(r0, r1) finds
+    those of rows r0:r1 from those rows of a and returns (base, pairs,
+    e0), base being the flat low-corner indices, with every array but
+    the float route's e0 in the thread's workspace.  The float route
+    (maxval=None) locates cells by binary search; the level route
+    gathers them from two tables built here once per call.  Finding
+    them is pure, so neither route keeps a block's cells between the
+    forward and the backward.
     """
-    n = lattice.n_s
     if maxval is None:
         a = validate_image(img)
 
-        def cells(r0, r1):
-            e0, gap, xd = _locate(lattice.coords, _rows(a, r0, r1))
-            return (*_cell_weights(e0, xd, n), _cell_knots(e0, gap))
+        def find(r0, r1):
+            e0, xd = _locate(lattice.coords, _rows(a, r0, r1))
+            return e0, _weight_pairs(xd, _scratch("pairs", (3, 2, xd.shape[1])))
+    else:
+        a = validate_samples(img, maxval)
+        # the float route's cells for the floats k / maxval, so gathering them
+        # by sample k gives bit-identical cells.  int(): maxval + 1 on a uint16
+        # scalar at MAX_MAXVAL would wrap to 0
+        levels = np.arange(int(maxval) + 1, dtype=np.float64) / maxval
+        level_e0, level_xd = _locate(lattice.coords, np.tile(levels, (3, 1)))
+        level_pairs = _weight_pairs(level_xd)
 
-        return a, cells
-    a = validate_samples(img, maxval)
-    # the float route's cells for the floats k / maxval, so gathering them
-    # by sample k gives bit-identical cells.  int(): maxval + 1 on a uint16
-    # scalar at MAX_MAXVAL would wrap to 0
-    levels = np.arange(int(maxval) + 1, dtype=np.float64) / maxval
-    level_e0, level_gap, level_xd = _locate(lattice.coords, np.tile(levels, (3, 1)))
-    # level k's contribution e0 * n^(2 - c) to the flat low-corner index,
-    # and its weight pair (1 - xd, xd)
-    offsets = level_e0 * np.array([[n * n], [n], [1]])
-    weights = _weight_pairs(level_xd)
+        def find(r0, r1):
+            return _level_cells(a[:, r0:r1, :], level_e0, level_pairs)
 
     def cells(r0, r1):
-        sidx, base, pairs = _level_weights(a[:, r0:r1, :], offsets, weights)
-        return base, pairs, _level_knots(sidx, level_e0, level_gap)
+        e0, pairs = find(r0, r1)
+        return _base_index(e0, lattice.n_s), pairs, e0
 
     return a, cells
 
@@ -529,34 +534,18 @@ class LatticeGradients:
     grad_input: np.ndarray
 
 
-def _cell_knots(e0, gap):
-    """_backward_block's knots_of for cells located by _locate."""
-    def knots_of(axis, out):
-        out[...] = e0[axis]
-        return gap[axis]
-    return knots_of
-
-
-def _level_knots(sidx, e0_table, gap_table):
-    """_backward_block's knots_of for samples sidx, gathering one axis at a time."""
-    def knots_of(axis, out):
-        e0_table[axis].take(sidx[axis], out=out, mode="clip")
-        gap = _scratch("cw", out.shape)
-        return gap_table[axis].take(sidx[axis], out=gap, mode="clip")
-    return knots_of
-
-
-def _backward_block(base, pairs, knots_of, gout, flat, n, grad_input):
+def _backward_block(base, pairs, e0, gout, flat, widths, grad_input):
     """Gradient contributions of one pixel block.
 
-    base and pairs are the block's flat low-corner indices and weight
-    pairs; knots_of(axis, out) writes its low knot indices e0 along axis
-    into out and returns its cell widths along axis.  The input gradient
-    is written into grad_input (3, p); returns (grad_values_flat (3, n^3),
-    grad_coords (3, n)), both newly allocated.  Every other temporary
-    lives in the thread's workspace.  Scatter order is fixed: corners in
-    (i, j, k) order, pixels in block order within each corner.
+    base, pairs and e0 are the block's cells as _route's cells returns
+    them; widths (3, n - 1) are the lattice's cell widths, gathered by
+    e0.  The input gradient is written into grad_input (3, p); returns
+    (grad_values_flat (3, n^3), grad_coords (3, n)), both newly
+    allocated.  Every other temporary lives in the thread's workspace.
+    Scatter order is fixed: corners in (i, j, k) order, pixels in block
+    order within each corner.
     """
+    n = widths.shape[1] + 1
     n3 = n * n * n
     p = base.shape[0]
     wr, wg, wb = pairs
@@ -602,7 +591,8 @@ def _backward_block(base, pairs, knots_of, gout, flat, n, grad_input):
                 np.multiply(w_u[u], w_v[v], out=w_uv)
                 term *= w_uv
                 g_axis += term
-        g_axis /= knots_of(axis, knots[0])
+        knots[0] = e0[axis]
+        g_axis /= widths[axis].take(knots[0], out=cw, mode="clip")
         np.add(knots[0], 1, out=knots[1])
         np.multiply(pairs[axis], g_axis, out=knot_weights)
         grad_coords[axis] = np.bincount(
@@ -634,16 +624,21 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
     floats in [0, 1] with maxval=None, or integer samples in [0, maxval]
     standing for sample / maxval; both give the same bits.  The route is
     decided once per call, by _route.  The forward finds each row_blocks
-    block's cells and blends them, and keeps nothing but out.
-    backward(grad_output) finds each block's cells again from the same
-    input rows, by the same pure steps, and turns the loss gradient
-    w.r.t. out into LatticeGradients from them.  Table and coordinate
-    gradients are accumulated into per-block buffers that are reduced in
-    block order, so the result does not depend on the number of workers.
+    block's cells, (e0, pairs), and blends them, and keeps nothing but
+    out.  backward(grad_output) finds each block's cells again from the
+    same input rows, by the same pure steps, and turns the loss gradient
+    w.r.t. out into LatticeGradients from them, dividing by the cell
+    widths np.diff(lattice.coords, axis=1) taken once per call.  Table
+    and coordinate gradients are accumulated into per-block buffers that
+    are reduced in block order, so the result does not depend on the
+    number of workers.
     """
     a, cells = _route(img, lattice, maxval)
     n = lattice.n_s
     flat = lattice.values.reshape(3, n * n * n)
+    # a cell's width is coords[c, e0 + 1] - coords[c, e0], the subtraction
+    # _locate makes, so the backward divides by the bits the forward did
+    widths = np.diff(lattice.coords, axis=1)
     h, w = a.shape[1], a.shape[2]
     out = np.empty_like(a, dtype=np.float64)
     blocks = row_blocks(h, w)
@@ -665,7 +660,7 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
 
         def run(block):
             r0, r1 = block
-            return _backward_block(*cells(r0, r1), _rows(g, r0, r1), flat, n,
+            return _backward_block(*cells(r0, r1), _rows(g, r0, r1), flat, widths,
                                    _rows(grad_input, r0, r1))
 
         parts = map_blocks(run, blocks, workers)

@@ -110,6 +110,25 @@ class TestAccumulativeErrorHistogram:
         with pytest.raises(ValueError):
             accumulative_error_histogram(img, img, n_bin=0)
 
+    @pytest.mark.parametrize("value,message", [
+        (np.nan, "^image values must be finite"),
+        (np.inf, "^image values must be finite"),
+        (1.5, r"^image values must lie in \[0, 1\]"),
+        (-0.5, r"^image values must lie in \[0, 1\]"),
+    ])
+    def test_rejects_input_outside_the_binned_range(self, rng, value, message):
+        x = rng.random((3, 2, 2))
+        x[1, 0, 1] = value
+        with pytest.raises(ValueError, match=message):
+            accumulative_error_histogram(x, rng.random((3, 2, 2)), n_bin=4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_target_by_name(self, rng, value):
+        y = rng.random((3, 2, 2))
+        y[2, 1, 0] = value
+        with pytest.raises(ValueError, match="^y values must be finite"):
+            accumulative_error_histogram(rng.random((3, 2, 2)), y, n_bin=4)
+
     @pytest.mark.parametrize("n_bin", [2.5, 8.0, True, None])
     def test_rejects_non_integer_bins_by_name(self, rng, n_bin):
         img = rng.random((3, 2, 2))

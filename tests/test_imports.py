@@ -104,3 +104,70 @@ def test_checker_finds_unused_imports():
         "line 6: identity_lut is never used",
         "line 9: transform_image is never used",
     ]
+
+
+def unused_private_definitions(sources, exempt=()):
+    """Module-level _name functions and classes nothing reads, as readable strings.
+
+    sources maps file names to their text.  A definition counts as used
+    when its name is read, as a name or an attribute, anywhere in
+    sources outside its own body.  Dunder names and names in exempt are
+    skipped.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    found = []
+    for name, tree in trees.items():
+        for definition in tree.body:
+            if (not isinstance(definition, (ast.FunctionDef, ast.ClassDef))
+                    or not definition.name.startswith("_") or definition.name.endswith("__")
+                    or definition.name in exempt):
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(read == definition.name and id(node) not in inside
+                       for node, read in reads):
+                found.append(f"{name} line {definition.lineno}: {definition.name} is never used")
+    return found
+
+
+def test_no_private_definition_goes_unused():
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
+    # the finite-difference tests call _transform_block on raw, unvalidated arrays
+    assert unused_private_definitions(sources, exempt={"_transform_block"}) == []
+
+
+def test_checker_finds_unused_private_definitions():
+    sources = {
+        "a.py": (
+            "def _called():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "class _Instantiated:\n"
+            "    pass\n"
+            "class _Orphan:\n"
+            "    def _method(self):\n"
+            "        return self._method()\n"
+            "def __getattr__(name):\n"
+            "    raise AttributeError(name)\n"
+            "def _by_attribute():\n"
+            "    pass\n"
+            "def _skipped():\n"
+            "    pass\n"
+            "KEPT = _Instantiated()\n"
+            "def public():\n"
+            "    return _called()\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "def _helper():\n"
+            "    return a._by_attribute()\n"
+        ),
+    }
+    assert unused_private_definitions(sources, exempt={"_skipped"}) == [
+        "a.py line 3: _recursive is never used",
+        "a.py line 7: _Orphan is never used",
+        "b.py line 2: _helper is never used",
+    ]

@@ -192,6 +192,16 @@ class TestTotalLoss:
         with pytest.raises(ValueError, match=f"{field} must be finite and non-negative"):
             LossWeights(**{field: value})
 
+    @pytest.mark.parametrize("field", ["lambda_s", "lambda_m"])
+    @pytest.mark.parametrize("value", [None, "1", True, False, np.bool_(True), [1.0], 1j])
+    def test_rejects_non_number_weights_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got"):
+            LossWeights(**{field: value})
+
+    def test_integer_and_numpy_weights_accepted(self):
+        LossWeights(lambda_s=0, lambda_m=np.int64(2))
+        LossWeights(lambda_s=np.float32(0.5), lambda_m=3)
+
 
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
@@ -435,6 +445,16 @@ class TestTrainConfigValidation:
     def test_bad_interval_lr_decay_rejected(self, decay):
         with pytest.raises(ValueError, match="interval_lr_decay must be finite and non-negative"):
             TrainConfig(interval_lr_decay=decay)
+
+    @pytest.mark.parametrize("field", ["learning_rate", "interval_lr_decay"])
+    @pytest.mark.parametrize("value", [None, "0.1", True, False, np.bool_(True), [0.1], 1j])
+    def test_non_number_rate_rejected_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be a real number, got"):
+            TrainConfig(**{field: value})
+
+    def test_integer_and_numpy_rates_accepted(self):
+        TrainConfig(learning_rate=1, interval_lr_decay=0)
+        TrainConfig(learning_rate=np.float32(0.5), interval_lr_decay=np.int64(1))
 
     def test_zero_interval_lr_decay_accepted(self):
         TrainConfig(interval_lr_decay=0.0)

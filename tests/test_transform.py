@@ -30,6 +30,7 @@ from nulut.transform import (
     transform_image,
     transform_pixel,
     transform_vjp,
+    transform_with_grads,
     trilinear_weights,
 )
 
@@ -50,7 +51,7 @@ class TestLookup:
         # as _locate clamps it
         row = np.array([0.5, 1.0])
         assert lookup(row, 0.1) == (0, 1, 0.5, 1.0)
-        e0, _, _ = transform._locate(np.tile(row, (3, 1)), np.full((3, 1), 0.1))
+        e0, _ = transform._locate(np.tile(row, (3, 1)), np.full((3, 1), 0.1))
         assert np.all(e0 == 0)
 
     def test_exact_knot_goes_right(self):
@@ -435,6 +436,28 @@ class TestBlockPool:
             sys.setswitchinterval(interval)
         # each index is handed out once, so no block runs twice or never
         assert runs == [5] * 500
+
+    @pytest.mark.parametrize("workers", [2.5, 2.0, 0, -1, True, None, "2"])
+    @pytest.mark.parametrize("entry", ["transform_image", "transform_vjp",
+                                       "transform_with_grads"])
+    def test_bad_workers_rejected_before_the_pool_is_touched(self, fresh_pool, rng, entry,
+                                                             workers):
+        img = rng.random((3, 300, 200))
+        assert len(row_blocks(300, 200)) > 2
+        lattice = random_lattice(rng, 5)
+        g = rng.standard_normal(img.shape)
+        call = {
+            "transform_image": lambda w: transform_image(img, lattice, w),
+            "transform_vjp": lambda w: transform_vjp(img, lattice, w)[0],
+            "transform_with_grads": lambda w: transform_with_grads(img, g, lattice, w)[0],
+        }[entry]
+        with pytest.raises(ValueError, match="^workers must be"):
+            call(workers)
+        assert transform._POOL._threads == 0
+        expected = transform_image(img, lattice)
+        for good in (2, np.int64(2)):
+            assert call(good).tobytes() == expected.tobytes()
+        assert transform._POOL._threads == 1
 
     def test_more_workers_grow_the_pool(self, fresh_pool):
         assert map_blocks(lambda b: b, list(range(3)), 2) == [0, 1, 2]
