@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import check_integer
+from .lattice import check_finite, check_integer, validate_coordinates
 from .transform import check_image_shape, validate_image
 
 DEFAULT_BINS = 1000
@@ -32,8 +32,10 @@ def check_pair(x, y):
 
 
 def error_map(x, y) -> np.ndarray:
-    """Elementwise squared difference between two images."""
+    """Elementwise squared difference between two images of finite values."""
     a, b = check_pair(x, y)
+    check_finite("x values", a)
+    check_finite("y values", b)
     d = a - b
     return d * d
 
@@ -68,14 +70,9 @@ def accumulative_error_histogram(x, y, n_bin: int = DEFAULT_BINS) -> ErrorHistog
     x must hold finite values in [0, 1], the range the bins cover, and
     y finite values.
     """
-    a, b = check_pair(x, y)
-    validate_image(a)
-    if not np.all(np.isfinite(b)):
-        raise ValueError("y values must be finite")
-    check_integer("n_bin", n_bin)
-    if n_bin < 1:
-        raise ValueError(f"n_bin must be >= 1, got {n_bin}")
-    d = error_map(a, b)
+    a = validate_image(x)
+    d = error_map(a, y)
+    check_integer("n_bin", n_bin, minimum=1)
     bins = np.zeros((3, n_bin))
     theta = np.zeros(3)
     no_error = np.zeros(3, dtype=bool)
@@ -91,7 +88,10 @@ def accumulative_error_histogram(x, y, n_bin: int = DEFAULT_BINS) -> ErrorHistog
 
 
 def psnr(pred, target) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 100 for near-zero MSE."""
+    """Peak signal-to-noise ratio in dB, capped at 100 for near-zero MSE.
+
+    Both images must hold finite values, as error_map requires.
+    """
     mse = float(np.mean(error_map(pred, target)))
     if mse < 1e-10:
         return 100.0
@@ -104,7 +104,11 @@ def export_diagnostics(coords, hist: ErrorHistogram, path_prefix, svg: bool = Fa
     Emits {prefix}_aeh.csv (channel, bin_center, aeh) always, plus
     {prefix}_coords.csv (channel, index, coordinate) when coords is given
     and {prefix}.svg when svg is requested.  Returns the written paths.
+    coords must pass validate_coordinates; it is checked before any file
+    is opened.
     """
+    if coords is not None:
+        coords = validate_coordinates(coords)
     prefix = str(path_prefix)
     written = []
     aeh_path = prefix + "_aeh.csv"
@@ -118,7 +122,6 @@ def export_diagnostics(coords, hist: ErrorHistogram, path_prefix, svg: bool = Fa
                     fh.write(f"{name},{center:.17g},{hist.aeh[c, k]:.17g}\n")
         written.append(aeh_path)
         if coords is not None:
-            coords = np.asarray(coords, dtype=np.float64)
             coords_path = prefix + "_coords.csv"
             with open(coords_path, "w", encoding="ascii") as fh:
                 fh.write("channel,index,coordinate\n")

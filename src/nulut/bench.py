@@ -70,16 +70,9 @@ def run_bench(
     sizes, threads: int = 1, repeat: int = 3, n_s: int = 33, seed: int = 0
 ) -> BenchReport:
     """Time the transform on random images of the given (width, height) sizes."""
-    for name, value in (("threads", threads), ("repeat", repeat), ("n_s", n_s), ("seed", seed)):
-        check_integer(name, value)
-    if repeat < 1:
-        raise ValueError("repeat must be >= 1")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    if n_s < 2:
-        raise ValueError(f"n_s must be >= 2, got {n_s}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value, minimum in (("threads", threads, 1), ("repeat", repeat, 1),
+                                 ("n_s", n_s, 2), ("seed", seed, 0)):
+        check_integer(name, value, minimum)
     for width, height in sizes:
         check_integer("width", width)
         check_integer("height", height)

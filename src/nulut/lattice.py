@@ -23,15 +23,30 @@ MIN_INTERVAL = 1e-6
 _COORD_END_TOL = 1e-9
 
 
-def check_integer(name, value) -> None:
-    """Raise ValueError naming the field unless value is an integer (not a bool).
+def check_integer(name, value, minimum=None) -> None:
+    """Raise ValueError naming the field unless value is an integer (not a bool) >= minimum.
 
     The one check every library entry runs on its sizes and counts, so a
     float such as 3.0 is refused by name instead of being truncated or
-    failing later without one.
+    failing later without one ("n_s must be an integer, got 3.0").  With
+    a minimum, a smaller value is refused with it ("n_s must be >= 2,
+    got 1"); without one, any integer passes.
     """
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_finite(name, a) -> None:
+    """Raise ValueError(f"{name} must be finite") if a holds a NaN or an infinity.
+
+    The one finiteness check every library entry runs on its arrays, so
+    each message reads the same way; name says what was checked
+    ("image values", "grad_output").
+    """
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite")
 
 
 def softmax_normalize(logits: np.ndarray) -> np.ndarray:
@@ -43,8 +58,7 @@ def softmax_normalize(logits: np.ndarray) -> np.ndarray:
     q = np.asarray(logits, dtype=np.float64)
     if q.ndim != 2 or q.shape[0] != 3 or q.shape[1] < 1:
         raise ValueError(f"interval logits must have shape (3, k>=1), got {q.shape}")
-    if not np.all(np.isfinite(q)):
-        raise ValueError("interval logits must be finite")
+    check_finite("interval logits", q)
     shifted = q - q.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     out = e / e.sum(axis=1, keepdims=True)
@@ -83,9 +97,7 @@ def uniform_coordinates(n_s: int) -> np.ndarray:
     Entries are computed as i / (n_s - 1) so that resampling onto a
     uniform grid of the same size hits the knots bit-exactly.
     """
-    check_integer("n_s", n_s)
-    if n_s < 2:
-        raise ValueError(f"n_s must be >= 2, got {n_s}")
+    check_integer("n_s", n_s, minimum=2)
     row = np.arange(n_s, dtype=np.float64) / (n_s - 1)
     row[-1] = 1.0
     return np.tile(row, (3, 1))
@@ -115,8 +127,7 @@ def shared_to_full(shared_row: np.ndarray) -> np.ndarray:
     row = np.asarray(shared_row, dtype=np.float64)
     if row.ndim != 1 or row.size < 1:
         raise ValueError(f"shared row must be a 1-D vector, got shape {row.shape}")
-    if not np.all(np.isfinite(row)):
-        raise ValueError("shared row must be finite")
+    check_finite("shared row", row)
     return np.tile(row, (3, 1))
 
 
@@ -130,8 +141,7 @@ def validate_coordinates(coords: np.ndarray) -> np.ndarray:
     if c.ndim != 2 or c.shape[0] != 3 or c.shape[1] < 2:
         raise ValueError(f"coordinates must have shape (3, n>=2), got {c.shape}")
     for name, row in zip("rgb", c):
-        if not np.all(np.isfinite(row)):
-            raise ValueError(f"coords {name}: entries must be finite")
+        check_finite(f"coords {name}: entries", row)
         if row[0] != 0.0:
             raise ValueError(f"coords {name}: first entry must be 0, got {row[0]}")
         if abs(row[-1] - 1.0) > _COORD_END_TOL:
@@ -150,8 +160,7 @@ def validate_table(values: np.ndarray) -> np.ndarray:
     n = t.shape[1]
     if t.shape[2] != n or t.shape[3] != n:
         raise ValueError(f"table must be cubic, got {t.shape}")
-    if not np.all(np.isfinite(t)):
-        raise ValueError("table values must be finite")
+    check_finite("table values", t)
     return t
 
 

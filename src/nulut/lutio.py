@@ -46,8 +46,15 @@ def _fmt(values):
 
 
 def save_lattice(lattice: Lattice, path, predictor: PredictorParams | None = None):
-    """Write a lattice (and optionally predictor parameters) to path."""
+    """Write a lattice (and optionally predictor parameters) to path.
+
+    A predictor must be sized for the lattice (its n_s equal to the
+    lattice's), or ValueError is raised before the file is opened, since
+    the checkpoint could not be loaded back.
+    """
     n = lattice.n_s
+    if predictor is not None and predictor.n_s != n:
+        raise ValueError(f"predictor n_s must equal the lattice size {n}, got {predictor.n_s}")
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"{FORMAT_MAGIC} {FORMAT_VERSION}\n")
         fh.write(f"size {n}\n")

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .lattice import check_finite
 from .transform import MAX_MAXVAL, check_image_shape, check_maxval, row_blocks
 
 
@@ -125,8 +126,8 @@ def write_image(img, path, maxval: int = 255) -> None:
         np.multiply(a[:, r0:r1].transpose(1, 2, 0), maxval, out=levels)
         # a finite sample overflows to inf only beyond 1.7e308 / maxval, so
         # the input block is read again only when its levels are not finite
-        if not np.isfinite(levels).all() and not np.isfinite(a[:, r0:r1]).all():
-            raise ValueError("image values must be finite")
+        if not np.isfinite(levels).all():
+            check_finite("image values", a[:, r0:r1])
         levels += 0.5
         np.floor(levels, out=levels)
         np.clip(levels, 0, maxval, out=levels)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import bin_indices
-from .lattice import check_integer, identity_lut, shared_to_full, uniform_coordinates
+from .lattice import check_finite, check_integer, identity_lut, shared_to_full, uniform_coordinates
 from .transform import validate_image
 
 HIST_BINS = 32
@@ -83,8 +83,7 @@ class PredictorParams:
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} must be finite")
+            check_finite(name, arr)
             setattr(self, name, arr)
 
 
@@ -103,10 +102,8 @@ def init_params(
     blend of basis 0, which is the identity table on the uniform grid;
     the remaining bases are small random perturbations.
     """
-    for name, value in (("n_s", n_s), ("m", m), ("f_dim", f_dim)):
-        check_integer(name, value)
-    if n_s < 2 or m < 1 or f_dim < 1:
-        raise ValueError(f"invalid dimensions n_s={n_s}, m={m}, f_dim={f_dim}")
+    for name, value, minimum in (("n_s", n_s, 2), ("m", m, 1), ("f_dim", f_dim, 1)):
+        check_integer(name, value, minimum)
     shapes = param_shapes(n_s, m, f_dim, shared)
     rng = np.random.default_rng(seed)
     basis = rng.normal(0.0, basis_noise_std, size=shapes["basis_luts"])

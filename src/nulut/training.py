@@ -25,6 +25,7 @@ from . import transform
 from .analysis import check_pair
 from .lattice import (
     Lattice,
+    check_finite,
     check_integer,
     coordinate_logit_vjp,
     identity_lut,
@@ -81,14 +82,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "freeze_interval_epochs", "seed"):
+        for name in ("epochs", "freeze_interval_epochs"):
             check_integer(name, getattr(self, name))
+        check_integer("seed", self.seed, minimum=0)
         _check_real("learning_rate", self.learning_rate, zero_ok=False)
         _check_real("interval_lr_decay", self.interval_lr_decay, zero_ok=True)
         if self.epochs < 1:
             raise ValueError(f"epochs must be at least 1, got {self.epochs}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.freeze_interval_epochs <= self.epochs:
             raise ValueError(
                 f"freeze_interval_epochs must lie in [0, epochs], got {self.freeze_interval_epochs}"
@@ -122,8 +122,7 @@ class ImagePair:
         else:
             object.__setattr__(self, "input", validate_samples(self.input, self.maxval))
         target = np.asarray(self.target, dtype=np.float64)
-        if not np.all(np.isfinite(target)):
-            raise ValueError("target values must be finite")
+        check_finite("target values", target)
         object.__setattr__(self, "target", target)
 
     def image(self) -> np.ndarray:
@@ -467,9 +466,7 @@ def train_predictor(
     checked once, by init_params, and Adam updates its arrays in place.
     Returns those parameters and the per-step loss history.
     """
-    check_integer("batch_size", batch_size)
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    check_integer("batch_size", batch_size, minimum=1)
     params = init_params(n_s, m, shared=shared, seed=config.seed)
 
     def loss_and_grads(item):

@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Lattice, check_integer
+from .lattice import Lattice, check_finite, check_integer
 
 CHUNK_ROWS = 64
 CHUNK_PIXELS = 32768
@@ -146,8 +146,7 @@ def validate_image(img) -> np.ndarray:
     """img as a float64 (3, h, w) array of finite values in [0, 1], or ValueError."""
     a = np.asarray(img, dtype=np.float64)
     check_image_shape(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("image values must be finite")
+    check_finite("image values", a)
     if a.min() < 0.0 or a.max() > 1.0:
         raise ValueError("image values must lie in [0, 1]")
     return a
@@ -419,9 +418,7 @@ def map_blocks(run, blocks, workers):
     workers must be an integer >= 1; every transform entry checks it
     here, before the pool is touched.
     """
-    check_integer("workers", workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
+    check_integer("workers", workers, minimum=1)
     threads = min(workers, len(blocks))
     if threads <= 1:
         return [run(block) for block in blocks]
@@ -653,8 +650,7 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
         g = np.asarray(grad_output, dtype=np.float64)
         if g.shape != a.shape:
             raise ValueError(f"grad_output shape {g.shape} does not match image {a.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("grad_output must be finite")
+        check_finite("grad_output", g)
         # C-ordered whatever a's layout, so each block's rows are a view of it
         grad_input = np.empty(a.shape)
 

@@ -136,6 +136,17 @@ class TestAccumulativeErrorHistogram:
             accumulative_error_histogram(img, img, n_bin=n_bin)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("which", ["x", "y"])
+@pytest.mark.parametrize("measure", [error_map, psnr])
+def test_non_finite_images_rejected_by_name(rng, measure, which, value):
+    # psnr once returned nan or -inf here, and error_map passed NaN through
+    images = {"x": rng.random((3, 4, 4)), "y": rng.random((3, 4, 4))}
+    images[which][1, 2, 3] = value
+    with pytest.raises(ValueError, match=f"^{which} values must be finite$"):
+        measure(images["x"], images["y"])
+
+
 @pytest.mark.parametrize("shape", [(3, 0, 4), (3, 4, 0)])
 @pytest.mark.parametrize("measure", [error_map, psnr, accumulative_error_histogram])
 def test_empty_images_rejected(measure, shape):
@@ -198,6 +209,20 @@ class TestExportDiagnostics:
             per_channel.setdefault(name, []).append(float(value))
         for series in per_channel.values():
             assert np.all(np.diff(series) >= -1e-15)
+
+    @pytest.mark.parametrize("coords,message", [
+        (np.linspace(0.0, 1.0, 10).reshape(2, 5), r"^coordinates must have shape \(3, n>=2\)"),
+        (np.where(np.arange(5) == 2, np.nan, np.linspace(0.0, 1.0, 5)) * np.ones((3, 1)),
+         "^coords r: entries must be finite$"),
+    ], ids=["two-rows", "nan"])
+    @pytest.mark.parametrize("svg", [False, True])
+    def test_bad_coords_rejected_before_any_file_is_written(self, rng, tmp_path, coords,
+                                                             message, svg):
+        x = rng.random((3, 2, 2))
+        hist = accumulative_error_histogram(x, 1.0 - x, n_bin=4)
+        with pytest.raises(ValueError, match=message):
+            export_diagnostics(coords, hist, tmp_path / "diag", svg=svg)
+        assert list(tmp_path.iterdir()) == []
 
     def test_io_failure_reports_path(self, rng):
         x = rng.random((3, 2, 2))

@@ -52,6 +52,7 @@ class TestRunBench:
         ({"seed": 1.5}, "seed must be an integer, got 1.5"),
         ({"sizes": [(4.0, 4)]}, "width must be an integer, got 4.0"),
         ({"sizes": [(4, 4), (4, 2.5)]}, "height must be an integer, got 2.5"),
+        ({"repeat": 0}, "repeat must be >= 1, got 0"),
     ])
     def test_out_of_range_rejected_before_drawing(self, monkeypatch, options, message):
         def no_draws(*args, **kwargs):

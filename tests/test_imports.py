@@ -171,3 +171,44 @@ def test_checker_finds_unused_private_definitions():
         "a.py line 7: _Orphan is never used",
         "b.py line 2: _helper is never used",
     ]
+
+
+def inline_finite_messages(source):
+    """String constants ending in "must be finite" outside check_finite, as readable strings.
+
+    An f-string counts by its literal parts, so f"coords {name}: entries
+    must be finite" is found as well; lattice.check_finite owns that message.
+    """
+    tree = ast.parse(source)
+    owner = {id(node) for definition in ast.walk(tree)
+             if isinstance(definition, ast.FunctionDef) and definition.name == "check_finite"
+             for node in ast.walk(definition)}
+    found = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Constant) and isinstance(node.value, str)
+             and node.value.endswith("must be finite") and id(node) not in owner]
+    return [f"line {node.lineno}: {node.value!r}"
+            for node in sorted(found, key=lambda node: node.lineno)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_finiteness_message_comes_from_check_finite(path):
+    assert inline_finite_messages(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_inline_finite_messages():
+    source = (
+        "def check_finite(name, a):\n"
+        "    raise ValueError(f'{name} must be finite')\n"
+        "def validate(a, c):\n"
+        "    if a:\n"
+        "        raise ValueError('grad must be finite')\n"
+        "    raise ValueError(f'coords {c}: entries must be finite')\n"
+        "RATE = 'rate must be finite and positive'\n"
+        "def message():\n"
+        "    return 'table values must be finite'\n"
+    )
+    assert inline_finite_messages(source) == [
+        "line 5: 'grad must be finite'",
+        "line 6: ': entries must be finite'",
+        "line 9: 'table values must be finite'",
+    ]

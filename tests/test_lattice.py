@@ -6,6 +6,8 @@ import pytest
 from nulut.lattice import (
     Lattice,
     MIN_INTERVAL,
+    check_finite,
+    check_integer,
     coordinate_logit_vjp,
     coordinates_from_logits,
     identity_lut,
@@ -15,6 +17,35 @@ from nulut.lattice import (
     uniform_coordinates,
     validate_coordinates,
 )
+
+
+class TestCheckInteger:
+    @pytest.mark.parametrize("value", [2, 7, np.int64(2), np.uint8(3)])
+    def test_at_or_above_the_minimum_accepted(self, value):
+        check_integer("k", value, minimum=2)
+
+    @pytest.mark.parametrize("value", [1, -4, np.int64(0)])
+    def test_below_the_minimum_rejected_with_value(self, value):
+        with pytest.raises(ValueError, match=f"^k must be >= 2, got {value}$"):
+            check_integer("k", value, minimum=2)
+
+    @pytest.mark.parametrize("value", [1.0, True, "1", None])
+    def test_non_integer_reported_before_the_minimum(self, value):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {value!r}$"):
+            check_integer("k", value, minimum=2)
+
+
+class TestCheckFinite:
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_by_name(self, value):
+        a = np.zeros((2, 3))
+        a[1, 2] = value
+        with pytest.raises(ValueError, match="^grad_output must be finite$"):
+            check_finite("grad_output", a)
+
+    @pytest.mark.parametrize("a", [np.zeros((3, 2, 2)), [0.5, -1e308], 3.0, np.empty(0)])
+    def test_finite_accepted(self, a):
+        check_finite("a", a)
 
 
 class TestSoftmaxNormalize:

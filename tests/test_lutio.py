@@ -220,6 +220,20 @@ class TestPredictorCheckpoint:
             "g_weights", "g_bias", "h0_weights", "h0_bias", "h1_weights", "h1_bias",
         ]
 
+    @pytest.mark.parametrize("lattice_n,predictor_n", [(3, 5), (5, 3)])
+    def test_predictor_of_another_size_rejected_before_the_file_opens(
+        self, rng, tmp_path, lattice_n, predictor_n
+    ):
+        # a 3-knot lattice saved with a 5-knot predictor once wrote a file
+        # load_checkpoint refused ("expected 'g_bias', found '0'")
+        path = tmp_path / "ckpt.nulut"
+        with pytest.raises(ValueError, match=(
+            f"^predictor n_s must equal the lattice size {lattice_n}, got {predictor_n}$"
+        )):
+            save_lattice(random_lattice(rng, lattice_n), path,
+                         predictor=init_params(predictor_n, 2))
+        assert not path.exists()
+
     def test_lattice_only_file_has_no_predictor(self, rng, tmp_path):
         path = tmp_path / "plain.nulut"
         save_lattice(random_lattice(rng, 3), path)

@@ -162,6 +162,14 @@ class TestInitParams:
         with pytest.raises(ValueError):
             init_params(n_s=1, m=1)
 
+    @pytest.mark.parametrize("field,value,minimum", [
+        ("n_s", 1, 2), ("n_s", -3, 2), ("m", 0, 1), ("f_dim", 0, 1), ("f_dim", np.int64(-1), 1),
+    ])
+    def test_rejects_dims_below_their_minimum_by_name(self, field, value, minimum):
+        dims = {"n_s": 3, "m": 2, "f_dim": 4, field: value}
+        with pytest.raises(ValueError, match=f"^{field} must be >= {minimum}, got {value}$"):
+            init_params(**dims)
+
     @pytest.mark.parametrize("field", ["n_s", "m", "f_dim"])
     @pytest.mark.parametrize("value", [3.0, 2.5, True])
     def test_rejects_non_integer_dims_by_name(self, field, value):

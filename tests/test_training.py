@@ -476,6 +476,13 @@ class TestTrainConfigValidation:
         with pytest.raises(ValueError, match="^batch_size must be an integer, got"):
             train_predictor([ImagePair(img, img)], 3, 1, config, batch_size=value)
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_batch_size_below_one_rejected_by_value(self, rng, value):
+        img = rng.random((3, 4, 4))
+        config = TrainConfig(epochs=1, freeze_interval_epochs=0)
+        with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {value}$"):
+            train_predictor([ImagePair(img, img)], 3, 1, config, batch_size=value)
+
     @pytest.mark.parametrize("fit,sizes", [(fit_direct, (3.0,)), (train_predictor, (3.0, 1))],
                              ids=["fit_direct", "train_predictor"])
     def test_non_integer_lattice_size_rejected_by_name(self, rng, fit, sizes):
