@@ -9,14 +9,18 @@ The native format is a plain-text token stream so diffs stay readable:
     coords b <n_s floats>
     values
     <3 * n_s^3 floats in channel, i, j, k order, k fastest>
-    [predictor <f_dim> <m> <shared 0|1>
+    [predictor 102 <m> <shared 0|1>
      g_weights <...> g_bias <...> h0_weights <...> h0_bias <...>
      h1_weights <...> h1_bias <...>]
 
-The predictor arrays follow predictor.PARAM_ARRAYS, each under its field
-name except basis_luts, which the file calls h1_weights (_FILE_NAMES).
-Floats are written with 17 significant digits, which round-trips IEEE
-doubles exactly.  Loading re-validates every lattice invariant.
+The predictor header's first number is the feature length, which must
+be predictor.FEATURE_DIM (102).  The predictor arrays follow
+predictor.PARAM_ARRAYS, each under its field name except basis_luts,
+which the file calls h1_weights (_FILE_NAMES).  Floats are written with
+17 significant digits, which round-trips IEEE doubles exactly.  Loading
+re-validates every lattice and predictor invariant through the checks
+that own them (Lattice, param_shapes, PredictorParams), and any file it
+refuses raises LutFormatError.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import math
 import numpy as np
 
 from .lattice import Lattice, check_integer
-from .predictor import PARAM_ARRAYS, PredictorParams, param_shapes
+from .predictor import FEATURE_DIM, PARAM_ARRAYS, PredictorParams, param_shapes
 from .transform import transform_image
 
 FORMAT_MAGIC = "NULUT3D"
@@ -66,7 +70,7 @@ def save_lattice(lattice: Lattice, path, predictor: PredictorParams | None = Non
             fh.write(_fmt(row) + "\n")
         if predictor is not None:
             shared = 1 if predictor.shared else 0
-            fh.write(f"predictor {predictor.f_dim} {predictor.m} {shared}\n")
+            fh.write(f"predictor {FEATURE_DIM} {predictor.m} {shared}\n")
             for name in PARAM_ARRAYS:
                 fh.write(f"{_FILE_NAMES.get(name, name)}\n")
                 for row in np.atleast_2d(getattr(predictor, name)):
@@ -127,7 +131,22 @@ class _Tokens:
 
 
 def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
-    """Read a checkpoint, returning the lattice and any predictor section."""
+    """Read a checkpoint, returning the lattice and any predictor section.
+
+    Every ValueError raised while reading the file, whether by the
+    tokenizer, the ASCII decode, Lattice, param_shapes or PredictorParams,
+    reaches the caller as LutFormatError with the message of the check
+    that raised it.  OSError (a missing file) passes through.
+    """
+    try:
+        return _read_checkpoint(path)
+    except LutFormatError:
+        raise
+    except ValueError as exc:
+        raise LutFormatError(str(exc)) from None
+
+
+def _read_checkpoint(path):
     with open(path, "r", encoding="ascii") as fh:
         toks = _Tokens(fh.read())
     magic = toks.next("format magic")
@@ -138,8 +157,7 @@ def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
         raise LutFormatError(f"unsupported version {version}")
     toks.expect("size")
     n = toks.take_int("lattice size")
-    if n < 2:
-        raise LutFormatError(f"lattice size must be >= 2, got {n}")
+    check_integer("lattice size", n, minimum=2)
     rows = []
     for name in "rgb":
         toks.expect("coords")
@@ -148,10 +166,7 @@ def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
     coords = np.array(rows)
     toks.expect("values")
     values = toks.take_floats(3 * n**3, "values").reshape(3, n, n, n)
-    try:
-        lattice = Lattice(coords, values)
-    except ValueError as exc:
-        raise LutFormatError(str(exc)) from None
+    lattice = Lattice(coords, values)
 
     predictor = None
     if not toks.done():
@@ -159,17 +174,17 @@ def load_checkpoint(path) -> tuple[Lattice, PredictorParams | None]:
         f_dim = toks.take_int("feature dimension")
         m = toks.take_int("basis count")
         shared = toks.take_int("shared flag")
-        if f_dim < 1 or m < 1:
-            raise LutFormatError(f"predictor f_dim and m must be >= 1, got f_dim={f_dim}, m={m}")
+        if f_dim != FEATURE_DIM:
+            raise LutFormatError(f"predictor feature dimension must be {FEATURE_DIM}, got {f_dim}")
         if shared not in (0, 1):
             raise LutFormatError(f"shared flag must be 0 or 1, got {shared}")
         arrays = {}
-        for name, shape in param_shapes(n, m, f_dim, bool(shared)).items():
+        for name, shape in param_shapes(n, m, bool(shared)).items():
             section = _FILE_NAMES.get(name, name)
             toks.expect(section)
             # math.prod stays exact where a header's sizes overflow int64
             arrays[name] = toks.take_floats(math.prod(shape), section).reshape(shape)
-        predictor = PredictorParams(**arrays, n_s=n, m=m, f_dim=f_dim, shared=bool(shared))
+        predictor = PredictorParams(**arrays, n_s=n, m=m, shared=bool(shared))
     if not toks.done():
         raise LutFormatError(f"trailing data from token {toks.pos}")
     return lattice, predictor
@@ -191,12 +206,10 @@ def export_cube(lattice: Lattice, n_out: int, path) -> None:
     check_integer("n_out", n_out)
     if not 2 <= n_out <= MAX_CUBE_SIZE:
         raise ValueError(f"cube size must lie in [2, {MAX_CUBE_SIZE}], got {n_out}")
-    line = np.arange(n_out**3)
-    red = line % n_out
-    green = (line // n_out) % n_out
-    blue = line // (n_out * n_out)
-    pix = np.stack([red, green, blue], axis=0)
-    out = transform_image(pix.reshape(3, 1, -1), lattice, maxval=n_out - 1).reshape(3, -1)
+    # the grid as a uint8 image of n_out**2 rows (blue slowest, red fastest),
+    # so the transform runs it in row blocks of bounded workspace
+    pix = np.indices((n_out,) * 3, dtype=np.uint8)[::-1].reshape(3, n_out * n_out, n_out)
+    out = transform_image(pix, lattice, maxval=n_out - 1).reshape(3, -1)
     np.clip(out, 0.0, 1.0, out=out)
     with open(path, "w", encoding="ascii") as fh:
         fh.write(f"LUT_3D_SIZE {n_out}\n")

@@ -21,19 +21,28 @@ from .transform import validate_image
 
 HIST_BINS = 32
 FEATURE_DIM = 3 * HIST_BINS + 6
+BASIS_NOISE_STD = 1e-3  # spread of the extra bases init_params draws
 
 # the parameter arrays of PredictorParams, in checkpoint order
 PARAM_ARRAYS = ("g_weights", "g_bias", "h0_weights", "h0_bias", "basis_luts", "h1_bias")
 
 
-def param_shapes(n_s: int, m: int, f_dim: int, shared: bool) -> dict:
-    """Shape of each array in PARAM_ARRAYS, in that order, for one configuration."""
+def param_shapes(n_s: int, m: int, shared: bool) -> dict:
+    """Shape of each array in PARAM_ARRAYS, in that order, for one configuration.
+
+    The one owner of the predictor's layout: the heads read FEATURE_DIM
+    features, and n_s (an integer >= 2) and m (an integer >= 1) are
+    checked here by name, so every caller (init_params, PredictorParams,
+    load_checkpoint) refuses the same dimensions the same way.
+    """
+    check_integer("n_s", n_s, minimum=2)
+    check_integer("m", m, minimum=1)
     logit_dim = n_s - 1 if shared else 3 * (n_s - 1)
     table_dim = 3 * n_s**3
     return {
-        "g_weights": (f_dim, logit_dim),
+        "g_weights": (FEATURE_DIM, logit_dim),
         "g_bias": (logit_dim,),
-        "h0_weights": (f_dim, m),
+        "h0_weights": (FEATURE_DIM, m),
         "h0_bias": (m,),
         "basis_luts": (m, table_dim),
         "h1_bias": (table_dim,),
@@ -64,7 +73,9 @@ class PredictorParams:
     basis_luts holds m flattened tables of length 3 * n_s**3, one row per
     basis.  In shared mode the interval head emits a single row of
     n_s - 1 logits that is replicated to all three axes, cutting its
-    parameter count by a factor of 3.
+    parameter count by a factor of 3.  Construction checks n_s and m
+    through param_shapes, then each array's shape and finiteness, and
+    raises ValueError naming the first bad field.
     """
 
     g_weights: np.ndarray
@@ -75,11 +86,10 @@ class PredictorParams:
     h1_bias: np.ndarray
     n_s: int
     m: int
-    f_dim: int
     shared: bool = False
 
     def __post_init__(self):
-        for name, shape in param_shapes(self.n_s, self.m, self.f_dim, self.shared).items():
+        for name, shape in param_shapes(self.n_s, self.m, self.shared).items():
             arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
@@ -87,26 +97,18 @@ class PredictorParams:
             setattr(self, name, arr)
 
 
-def init_params(
-    n_s: int,
-    m: int,
-    f_dim: int = FEATURE_DIM,
-    shared: bool = False,
-    seed: int = 0,
-    basis_noise_std: float = 1e-3,
-) -> PredictorParams:
+def init_params(n_s: int, m: int, shared: bool = False, seed: int = 0) -> PredictorParams:
     """Parameters that make the fresh pipeline an identity transform.
 
     The interval head starts at zero weights with unit bias, so every
     image gets uniform intervals.  The value head starts as a one-hot
     blend of basis 0, which is the identity table on the uniform grid;
-    the remaining bases are small random perturbations.
+    the remaining bases are random perturbations with standard deviation
+    BASIS_NOISE_STD.  param_shapes checks n_s and m.
     """
-    for name, value, minimum in (("n_s", n_s, 2), ("m", m, 1), ("f_dim", f_dim, 1)):
-        check_integer(name, value, minimum)
-    shapes = param_shapes(n_s, m, f_dim, shared)
+    shapes = param_shapes(n_s, m, shared)
     rng = np.random.default_rng(seed)
-    basis = rng.normal(0.0, basis_noise_std, size=shapes["basis_luts"])
+    basis = rng.normal(0.0, BASIS_NOISE_STD, size=shapes["basis_luts"])
     basis[0] = identity_lut(uniform_coordinates(n_s)).ravel()
     h0_bias = np.zeros(m)
     h0_bias[0] = 1.0
@@ -119,23 +121,20 @@ def init_params(
         h1_bias=np.zeros(shapes["h1_bias"]),
         n_s=n_s,
         m=m,
-        f_dim=f_dim,
         shared=shared,
     )
 
 
-def _check_features(features, params: PredictorParams) -> np.ndarray:
+def _check_features(features) -> np.ndarray:
     e = np.asarray(features, dtype=np.float64)
-    if e.shape != (params.f_dim,):
-        raise ValueError(
-            f"feature vector must have shape ({params.f_dim},), got {e.shape}"
-        )
+    if e.shape != (FEATURE_DIM,):
+        raise ValueError(f"feature vector must have shape ({FEATURE_DIM},), got {e.shape}")
     return e
 
 
 def predict_logits(features, params: PredictorParams) -> np.ndarray:
     """Interval logits (3, n_s - 1) for one feature vector."""
-    e = _check_features(features, params)
+    e = _check_features(features)
     raw = e @ params.g_weights + params.g_bias
     if params.shared:
         return shared_to_full(raw)
@@ -144,7 +143,7 @@ def predict_logits(features, params: PredictorParams) -> np.ndarray:
 
 def predict_weights(features, params: PredictorParams) -> np.ndarray:
     """Basis blend weights (m,) from the value head's first layer."""
-    e = _check_features(features, params)
+    e = _check_features(features)
     return e @ params.h0_weights + params.h0_bias
 
 

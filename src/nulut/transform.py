@@ -56,9 +56,12 @@ calls: every thread that has run blocks, the callers included, holds
 its workspace for as long as it lives, about 104 bytes per block pixel
 after a float apply, 128 after a quantized one, 192 after a float
 training backward and 216 after a quantized one; at CHUNK_PIXELS that
-is 3.4, 4.2, 6.3 and 7.1 MB per thread.  Pool threads live until the
-pool grows or the interpreter exits, so a long-lived process keeps
-about usable_cpus times that.
+is 3.4, 4.2, 6.3 and 7.1 MB per thread.  Those figures hold for images
+whose rows are at most CHUNK_PIXELS wide: a block is never smaller than
+one row, so a wider row of w pixels is a block of w pixels, and the
+workspace holds the same bytes per pixel of it.  Pool threads live
+until the pool grows or the interpreter exits, so a long-lived process
+keeps about usable_cpus times that.
 """
 
 from __future__ import annotations
@@ -413,8 +416,10 @@ def map_blocks(run, blocks, workers):
     returns.
 
     Each thread that runs blocks keeps the workspace buffers its blocks
-    grew after the call returns (up to 7.1 MB for a training backward,
-    see the module docstring), so the pool's memory grows with workers.
+    grew after the call returns (up to 7.1 MB for a training backward
+    on rows at most CHUNK_PIXELS wide; a wider row is a block of its
+    own width, see the module docstring), so the pool's memory grows
+    with workers.
     workers must be an integer >= 1; every transform entry checks it
     here, before the pool is touched.
     """

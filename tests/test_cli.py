@@ -150,7 +150,8 @@ class TestQuantizedApply:
         lattice = random_lattice(rng, 5, logit_scale=2.0)
         predictor = None
         if with_predictor:
-            params = init_params(n_s=5, m=2, seed=4, basis_noise_std=0.2)
+            params = init_params(n_s=5, m=2, seed=4)
+            params.basis_luts[1:] = rng.normal(0.0, 0.2, size=params.basis_luts[1:].shape)
             predictor = dataclasses.replace(
                 params, g_weights=rng.normal(size=params.g_weights.shape)
             )

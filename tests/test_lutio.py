@@ -1,8 +1,9 @@
 import dataclasses
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import random_lattice
@@ -16,7 +17,8 @@ from nulut.lutio import (
     save_lattice,
 )
 from nulut.predictor import PARAM_ARRAYS, init_params
-from nulut.transform import transform_image, transform_pixel
+from nulut import transform
+from nulut.transform import CHUNK_PIXELS, transform_image, transform_pixel
 
 
 class TestLatticeRoundTrip:
@@ -174,7 +176,8 @@ class TestHeaderSizes:
     @pytest.mark.parametrize("header,message", [
         # the tokens left run into the next section, whose name is not a float
         ("predictor 102 1000000000000000 0", "expected float in h0_weights, found 'h0_bias'"),
-        ("predictor 1000000000000000000000 2 0", "expected float in g_weights, found 'g_bias'"),
+        ("predictor 1000000000000000000000 2 0",
+         "predictor feature dimension must be 102, got 1000000000000000000000"),
     ])
     def test_oversized_predictor_sizes_report_first_bad_token(
         self, rng, tmp_path, header, message
@@ -185,15 +188,19 @@ class TestHeaderSizes:
             load_checkpoint(path)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("f_dim,m", [(0, 2), (102, 0), (-5, 2), (102, -1)])
-    def test_predictor_dimensions_below_one_rejected_by_name(self, rng, tmp_path, f_dim, m):
+    @pytest.mark.parametrize("f_dim,m,message", [
+        (0, 2, "predictor feature dimension must be 102, got 0"),
+        (-5, 2, "predictor feature dimension must be 102, got -5"),
+        (5, 2, "predictor feature dimension must be 102, got 5"),
+        (102, 0, "m must be >= 1, got 0"),
+        (102, -1, "m must be >= 1, got -1"),
+    ])
+    def test_bad_predictor_dimensions_rejected_by_name(self, rng, tmp_path, f_dim, m, message):
         path = tmp_path / "p.nulut"
         self.with_predictor_header(rng, path, f"predictor {f_dim} {m} 0")
         with pytest.raises(LutFormatError) as info:
             load_checkpoint(path)
-        assert str(info.value) == (
-            f"predictor f_dim and m must be >= 1, got f_dim={f_dim}, m={m}"
-        )
+        assert str(info.value) == message
 
 
 class TestPredictorCheckpoint:
@@ -206,7 +213,7 @@ class TestPredictorCheckpoint:
         loaded_lattice, loaded = load_checkpoint(path)
         assert np.array_equal(loaded_lattice.values, lattice.values)
         assert loaded is not None
-        assert loaded.m == params.m and loaded.f_dim == params.f_dim
+        assert loaded.m == params.m
         assert loaded.shared == params.shared
         for name in ("g_weights", "g_bias", "h0_weights", "h0_bias", "basis_luts", "h1_bias"):
             assert np.array_equal(getattr(loaded, name), getattr(params, name))
@@ -233,6 +240,34 @@ class TestPredictorCheckpoint:
             save_lattice(random_lattice(rng, lattice_n), path,
                          predictor=init_params(predictor_n, 2))
         assert not path.exists()
+
+    def test_other_feature_length_is_a_format_error(self, rng, tmp_path):
+        # a consistent file for 5 features, as init_params(3, 2, f_dim=5)
+        # once saved it: it loaded, then apply failed on the 102 features
+        path = tmp_path / "ckpt.nulut"
+        save_lattice(random_lattice(rng, 3), path, predictor=init_params(n_s=3, m=2))
+        tokens = path.read_text().split()
+        for section, width in (("g_weights", 6), ("h0_weights", 2)):
+            start = tokens.index(section) + 1
+            del tokens[start + 5 * width : start + 102 * width]
+        tokens[tokens.index("predictor") + 1] = "5"
+        path.write_text(" ".join(tokens))
+        with pytest.raises(LutFormatError, match="^predictor feature dimension must be 102, got 5$"):
+            load_checkpoint(path)
+
+    def test_non_finite_predictor_array_is_a_format_error(self, rng, tmp_path):
+        path = tmp_path / "ckpt.nulut"
+        save_lattice(random_lattice(rng, 3), path, predictor=init_params(n_s=3, m=2))
+        TestParseErrors.corrupt(path, "h0_bias", 1, "nan")
+        with pytest.raises(LutFormatError, match="^h0_bias must be finite$"):
+            load_checkpoint(path)
+
+    def test_non_ascii_byte_is_a_format_error(self, rng, tmp_path):
+        path = tmp_path / "ckpt.nulut"
+        save_lattice(random_lattice(rng, 3), path)
+        path.write_bytes(path.read_bytes().replace(b"size", b"s\xffze"))
+        with pytest.raises(LutFormatError, match="can't decode byte 0xff"):
+            load_checkpoint(path)
 
     def test_lattice_only_file_has_no_predictor(self, rng, tmp_path):
         path = tmp_path / "plain.nulut"
@@ -346,6 +381,23 @@ class TestExportCube:
         export_cube(lattice, n_out, path)
         assert path.read_text(encoding="ascii") == float_grid_cube(lattice, n_out)
 
+    def test_grid_runs_in_blocks_of_bounded_workspace(self, rng, tmp_path):
+        """The calling thread keeps at most the quantized forward's documented
+        128 bytes per pixel of one CHUNK_PIXELS block, and the bytes hold."""
+        lattice = random_lattice(rng, 9, logit_scale=2.0, value_noise=0.05)
+        path = tmp_path / "l.cube"
+        kept = []
+
+        def fresh():
+            export_cube(lattice, 65, path)
+            kept.append(sum(buf.nbytes for buf in transform._WORKSPACE.buffers.values()))
+
+        thread = threading.Thread(target=fresh)
+        thread.start()
+        thread.join()
+        assert 0 < kept[0] <= 128 * CHUNK_PIXELS
+        assert path.read_text(encoding="ascii") == float_grid_cube(lattice, 65)
+
 
 def float_grid_cube(lattice, n_out):
     """Reference .cube text: a hand-built float grid k / (n_out - 1) through
@@ -406,8 +458,74 @@ class TestCheckpointProperties:
         if params is None:
             assert loaded is None
             return
-        assert (loaded.n_s, loaded.m, loaded.f_dim, loaded.shared) == (
-            params.n_s, params.m, params.f_dim, params.shared
-        )
+        assert (loaded.n_s, loaded.m, loaded.shared) == (params.n_s, params.m, params.shared)
         for name in PARAM_ARRAYS:
             assert getattr(loaded, name).tobytes() == getattr(params, name).tobytes(), name
+
+
+@pytest.fixture(scope="module")
+def predictor_checkpoint(tmp_path_factory):
+    """The bytes of a valid checkpoint with a predictor, n=3 and m=2."""
+    path = tmp_path_factory.mktemp("fuzz") / "valid.nulut"
+    save_lattice(random_lattice(np.random.default_rng(7), 3), path,
+                 predictor=init_params(n_s=3, m=2, seed=1))
+    return path.read_bytes()
+
+
+# token positions in predictor_checkpoint: 20 header and coords tokens,
+# then "values" and 81 values, then the 4-token predictor header, then
+# g_weights (612), g_bias (6) and h0_weights (204), each after its name
+PREDICTOR_HEADER = 101
+H0_BIAS = 930
+
+# tokens a damaged file may carry in place of a good one
+ODD_TOKENS = [b"nan", b"inf", b"-inf", b"0", b"1", b"-1", b"5", b"3.0", b"1e999",
+              b"100000000000000000000", b"predictor", b"h0_bias", b"\xff", b""]
+
+CHECKPOINT_EDITS = st.one_of(
+    st.tuples(st.just("byte"), st.integers(min_value=0), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.just(None)),
+    st.tuples(st.just("swap"), st.integers(min_value=0), st.integers(min_value=0)),
+    st.tuples(st.just("replace"), st.integers(min_value=0), st.sampled_from(ODD_TOKENS)),
+)
+
+
+def edit_checkpoint(data, edit):
+    """data with one byte set, cut short, or two tokens swapped or one replaced."""
+    kind, where, what = edit
+    if kind == "byte":
+        i = where % len(data)
+        return data[:i] + bytes([what]) + data[i + 1:]
+    if kind == "truncate":
+        return data[:where % len(data)]
+    tokens = data.split()
+    i = where % len(tokens)
+    if kind == "swap":
+        j = what % len(tokens)
+        tokens[i], tokens[j] = tokens[j], tokens[i]
+    else:
+        tokens[i] = what
+    return b"\n".join(tokens)
+
+
+def test_fuzz_positions_name_their_sections(predictor_checkpoint):
+    tokens = predictor_checkpoint.split()
+    assert tokens[PREDICTOR_HEADER:PREDICTOR_HEADER + 4] == [b"predictor", b"102", b"2", b"0"]
+    assert tokens[H0_BIAS] == b"h0_bias"
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(edit=CHECKPOINT_EDITS)
+@example(edit=("byte", 0, 0xFF))
+@example(edit=("replace", H0_BIAS + 1, b"nan"))
+@example(edit=("replace", PREDICTOR_HEADER + 1, b"5"))  # predictor 5 2 0
+def test_damaged_checkpoint_loads_or_raises_format_error(
+    predictor_checkpoint, tmp_path_factory, edit
+):
+    """Any one edit of a valid checkpoint loads, or raises LutFormatError and nothing else."""
+    path = tmp_path_factory.getbasetemp() / "fuzz.nulut"
+    path.write_bytes(edit_checkpoint(predictor_checkpoint, edit))
+    try:
+        load_checkpoint(path)
+    except LutFormatError:
+        pass

@@ -9,6 +9,7 @@ from nulut.predictor import (
     FEATURE_DIM,
     HIST_BINS,
     PARAM_ARRAYS,
+    PredictorParams,
     extract_features,
     init_params,
     predict_logits,
@@ -163,19 +164,32 @@ class TestInitParams:
             init_params(n_s=1, m=1)
 
     @pytest.mark.parametrize("field,value,minimum", [
-        ("n_s", 1, 2), ("n_s", -3, 2), ("m", 0, 1), ("f_dim", 0, 1), ("f_dim", np.int64(-1), 1),
+        ("n_s", 1, 2), ("n_s", -3, 2), ("m", 0, 1), ("m", np.int64(-1), 1),
     ])
     def test_rejects_dims_below_their_minimum_by_name(self, field, value, minimum):
-        dims = {"n_s": 3, "m": 2, "f_dim": 4, field: value}
+        dims = {"n_s": 3, "m": 2, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be >= {minimum}, got {value}$"):
             init_params(**dims)
 
-    @pytest.mark.parametrize("field", ["n_s", "m", "f_dim"])
+    @pytest.mark.parametrize("field", ["n_s", "m"])
     @pytest.mark.parametrize("value", [3.0, 2.5, True])
     def test_rejects_non_integer_dims_by_name(self, field, value):
-        dims = {"n_s": 3, "m": 2, "f_dim": 4, field: value}
+        dims = {"n_s": 3, "m": 2, field: value}
         with pytest.raises(ValueError, match=f"^{field} must be an integer, got"):
             init_params(**dims)
+
+
+class TestPredictorParams:
+    @pytest.mark.parametrize("dims,message", [
+        ({"m": 0}, "^m must be >= 1, got 0$"),
+        ({"n_s": 1}, "^n_s must be >= 2, got 1$"),
+        ({"n_s": 0}, "^n_s must be >= 2, got 0$"),
+        ({"n_s": 3.0}, "^n_s must be an integer, got 3.0$"),
+    ])
+    def test_hand_built_dims_checked_by_name(self, dims, message):
+        arrays = {name: getattr(init_params(n_s=3, m=2), name) for name in PARAM_ARRAYS}
+        with pytest.raises(ValueError, match=message):
+            PredictorParams(**arrays, **{"n_s": 3, "m": 2, **dims})
 
 
 class TestEndToEndGradients:
