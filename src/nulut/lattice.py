@@ -152,14 +152,19 @@ def validate_coordinates(coords: np.ndarray) -> np.ndarray:
     return c
 
 
-def validate_table(values: np.ndarray) -> np.ndarray:
-    """Check a LUT value array: shape (3, n, n, n), all entries finite."""
-    t = np.asarray(values, dtype=np.float64)
+def check_table_shape(t: np.ndarray) -> None:
+    """Raise ValueError unless t has shape (3, n, n, n) with n >= 2."""
     if t.ndim != 4 or t.shape[0] != 3 or t.shape[1] < 2:
         raise ValueError(f"table must have shape (3, n, n, n) with n>=2, got {t.shape}")
     n = t.shape[1]
     if t.shape[2] != n or t.shape[3] != n:
         raise ValueError(f"table must be cubic, got {t.shape}")
+
+
+def validate_table(values: np.ndarray) -> np.ndarray:
+    """Check a LUT value array: shape (3, n, n, n), all entries finite."""
+    t = np.asarray(values, dtype=np.float64)
+    check_table_shape(t)
     check_finite("table values", t)
     return t
 

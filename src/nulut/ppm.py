@@ -7,16 +7,27 @@ Samples map to [0, 1] as value / maxval on read, or stay integers on
 request (apply, fit and train read their inputs that way, for the
 transform's level tables); writing rounds half up and clips.  As the
 format requires, a sample takes one byte when maxval is below 256 and
-two big-endian bytes otherwise.  Parse failures report the byte offset
-where the reader gave up.  Writing rounds straight into the output
-raster over the same row blocks the transform uses
-(transform.row_blocks), so its temporaries stay cache-sized on large
-frames.  It runs on one thread even when
-`nulut apply` transforms on every usable CPU; the bytes written do not
-depend on that count.
+two big-endian bytes otherwise.
+
+The header is the magic P6, then width, height and maxval as unsigned
+decimal integers.  Before each field may come any run of the six ASCII
+whitespace bytes (space, \\t, \\n, \\r, \\v, \\f) and # comments, a
+comment running to the end of its line or of the file; one compiled
+pattern, _FIELD, reads each field that way.  Exactly one whitespace
+byte follows maxval, and the raster starts right after it.  Parse
+failures raise PpmParseError, which names the byte offset where the
+reader gave up.
+
+Writing rounds straight into the output raster over the same row blocks
+the transform uses (transform.row_blocks), so its temporaries stay
+cache-sized on large frames.  It runs on one thread even when `nulut
+apply` transforms on every usable CPU; the bytes written do not depend
+on that count.
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -30,27 +41,17 @@ class PpmParseError(ValueError):
         self.offset = offset
 
 
-def _skip_space(data, pos):
-    while pos < len(data):
-        ch = data[pos : pos + 1]
-        if ch == b"#":
-            while pos < len(data) and data[pos : pos + 1] != b"\n":
-                pos += 1
-        elif ch.isspace():
-            pos += 1
-        else:
-            break
-    return pos
+# a header field: any run of ASCII whitespace and # comments (each to the
+# end of its line), then the field's digits; the digits may match empty, so
+# the pattern matches at every position and never backtracks
+_FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\d*)")
 
 
 def _read_int(data, pos, what):
-    pos = _skip_space(data, pos)
-    start = pos
-    while pos < len(data) and data[pos : pos + 1].isdigit():
-        pos += 1
-    if pos == start:
-        raise PpmParseError(f"expected {what}", start)
-    return int(data[start:pos]), pos
+    m = _FIELD.match(data, pos)
+    if not m.group(1):
+        raise PpmParseError(f"expected {what}", m.start(1))
+    return int(m.group(1)), m.end()
 
 
 def _sample_dtype(maxval):

@@ -27,6 +27,7 @@ from .lattice import (
     Lattice,
     check_finite,
     check_integer,
+    check_table_shape,
     coordinate_logit_vjp,
     identity_lut,
     intervals_to_coordinates,
@@ -144,8 +145,13 @@ def reconstruction_loss_grad(pred, target):
 
 
 def smoothness_loss_grad(table):
-    """Mean squared second difference of every channel along every axis."""
+    """Mean squared second difference of every channel along every axis.
+
+    table must have shape (3, n, n, n) with n >= 2 (check_table_shape);
+    its values are not scanned, so a non-finite entry gives a NaN loss.
+    """
     t = np.asarray(table, dtype=np.float64)
+    check_table_shape(t)
     grad = np.zeros_like(t)
     n = t.shape[1]
     if n < 3:
@@ -168,9 +174,11 @@ def monotonicity_loss_grad(table):
     """Squared hinge on own-axis first differences, averaged over all sites.
 
     Channel c is penalized where it decreases along its own lattice axis
-    (red along i, green along j, blue along k).
+    (red along i, green along j, blue along k).  table is checked as in
+    smoothness_loss_grad.
     """
     t = np.asarray(table, dtype=np.float64)
+    check_table_shape(t)
     n = t.shape[1]
     count = 3 * (n - 1) * n * n
     total = 0.0
@@ -224,7 +232,11 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
               lr_scales: dict | None = None) -> dict:
     """One Adam update, in place, for every parameter named in grads.
 
-    Every gradient is checked before any parameter or moment moves.
+    Every gradient and learning-rate scale is checked before any
+    parameter or moment moves: a gradient must name a parameter in
+    params (ValueError), broadcast to that parameter's shape (ValueError)
+    and be finite (TrainingDivergedError), and a scale in lr_scales of a
+    name being updated must be a finite real number >= 0 (ValueError).
     Parameters absent from grads are left untouched (their moments do not
     advance, so a frozen group resumes cleanly when unfrozen).  Each
     update is written into params[name], which first becomes a writable
@@ -236,8 +248,18 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
     whole-array update.
     """
     for name, g in grads.items():
+        if name not in params:
+            raise ValueError(f"gradient for '{name}' names no parameter")
+        shape, g_shape = np.shape(params[name]), np.shape(g)
+        # np.broadcast_to's rule, checked on the shapes without building a view
+        if len(g_shape) > len(shape) or any(
+                a not in (1, b) for a, b in zip(g_shape[::-1], shape[::-1])):
+            raise ValueError(f"gradient for '{name}' of shape {g_shape} does not "
+                             f"broadcast to its parameter's shape {shape}")
         if not np.all(np.isfinite(g)):
             raise TrainingDivergedError(f"non-finite gradient for '{name}'")
+        if lr_scales and name in lr_scales:
+            _check_real(f"lr_scales['{name}']", lr_scales[name], zero_ok=True)
     # no larger than the largest parameter, so small fits keep small buffers
     chunk = min(transform.CHUNK_PIXELS, max([1, *map(np.size, grads.values())]))
     scratch = np.empty((2, chunk))

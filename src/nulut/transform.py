@@ -44,9 +44,11 @@ counter; they share the read-only lattice, write disjoint output
 slices, and keep private gradient buffers that are reduced in block
 order.  Results are therefore bit-identical for any thread count, and
 usable_cpus is the count apply and training use.  The pool is started
-on first use, grows when a call asks for more threads, and outlives
-the calls, so each of its threads keeps a workspace: 64-byte-aligned
-buffers, one per named slot, grown on demand.  A block writes its
+on first use, grows when a call asks for more threads, up to
+POOL_THREADS_PER_CPU (4) threads per usable CPU whatever the workers
+asked for, and outlives the calls, so each of its threads keeps a
+workspace: 64-byte-aligned buffers, one per named slot, grown on
+demand.  A block writes its
 temporaries there with out= (indices, weight pairs, gathered corners,
 the backward's channel sums and chain terms) in the same operations
 and order as allocating them would, so a warm training step allocates
@@ -61,7 +63,8 @@ whose rows are at most CHUNK_PIXELS wide: a block is never smaller than
 one row, so a wider row of w pixels is a block of w pixels, and the
 workspace holds the same bytes per pixel of it.  Pool threads live
 until the pool grows or the interpreter exits, so a long-lived process
-keeps about usable_cpus times that.
+keeps that for each calling thread and for each pool thread, of which
+there are at most 4 * usable_cpus.
 """
 
 from __future__ import annotations
@@ -367,14 +370,24 @@ def usable_cpus() -> int:
 
 
 POOL_THREAD_NAME = "nulut-blocks"
+POOL_THREADS_PER_CPU = 4
 
 
 class _BlockPool:
     """The pool threads every map_blocks call shares, started on first use.
 
-    It grows when a call asks for more threads than it has and never
-    shrinks.  Its threads outlive the calls, so their workspaces stay
-    warm; idle, they end when the interpreter exits.
+    It grows when a call asks for more threads than it has, up to
+    POOL_THREADS_PER_CPU * usable_cpus() threads, and never shrinks.
+    Shares beyond that bound queue behind the others; they find the
+    block counter drained or are cancelled, so no result changes.  Its
+    threads outlive the calls, so their workspaces stay warm; idle, they
+    end when the interpreter exits.
+
+    It sizes one executor to the threads asked for rather than keeping
+    one large stdlib ThreadPoolExecutor: a cancelled share frees its
+    thread only after the next submit has already started a new one, so
+    ThreadPoolExecutor(max(32, usable_cpus())) grew to 32 threads over
+    3,000 two-block calls, where this pool keeps 1.
     """
 
     def __init__(self):
@@ -383,14 +396,15 @@ class _BlockPool:
         self._threads = 0
 
     def submit(self, fn, count):
-        """count futures of fn(), on a pool of at least count threads."""
+        """count futures of fn(), on a pool of at least min(count, bound) threads."""
+        threads = min(count, POOL_THREADS_PER_CPU * usable_cpus())
         with self._lock:
-            if count > self._threads:
+            if threads > self._threads:
                 # the old executor finishes what it was given, then its threads end
                 if self._executor is not None:
                     self._executor.shutdown(wait=False)
-                self._executor = ThreadPoolExecutor(count, thread_name_prefix=POOL_THREAD_NAME)
-                self._threads = count
+                self._executor = ThreadPoolExecutor(threads, thread_name_prefix=POOL_THREAD_NAME)
+                self._threads = threads
             return [self._executor.submit(fn) for _ in range(count)]
 
 
@@ -419,7 +433,9 @@ def map_blocks(run, blocks, workers):
     grew after the call returns (up to 7.1 MB for a training backward
     on rows at most CHUNK_PIXELS wide; a wider row is a block of its
     own width, see the module docstring), so the pool's memory grows
-    with workers.
+    with workers.  The pool runs at most POOL_THREADS_PER_CPU *
+    usable_cpus() threads whatever workers is; shares beyond that queue,
+    and the results are the same bits.
     workers must be an integer >= 1; every transform entry checks it
     here, before the pool is touched.
     """

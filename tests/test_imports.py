@@ -212,3 +212,65 @@ def test_checker_finds_inline_finite_messages():
         "line 6: ': entries must be finite'",
         "line 9: 'table values must be finite'",
     ]
+
+
+THREAD_STARTERS = {"ThreadPoolExecutor", "ProcessPoolExecutor", "Thread"}
+
+
+def threads_outside_the_block_pool(source):
+    """Thread and process starts outside class _BlockPool, as readable strings.
+
+    A start is a call of ThreadPoolExecutor, ProcessPoolExecutor or
+    Thread, bare or by attribute (threading.Thread), or any import of
+    multiprocessing.  transform._BlockPool owns the package's threads and
+    caps their count, so a start anywhere else could get round that bound.
+    """
+    tree = ast.parse(source)
+    owner = {id(node) for cls in tree.body
+             if isinstance(cls, ast.ClassDef) and cls.name == "_BlockPool"
+             for node in ast.walk(cls)}
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in owner:
+            continue
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in THREAD_STARTERS:
+                found.append((node, f"calls {ast.unparse(func)}"))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            modules = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                       else [node.module or ""])
+            found += [(node, f"imports {module}") for module in modules
+                      if module.split(".")[0] == "multiprocessing"]
+    found.sort(key=lambda item: (item[0].lineno, item[0].col_offset))
+    return [f"line {node.lineno}: {what}" for node, what in found]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_block_pool_starts_threads(path):
+    assert threads_outside_the_block_pool(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_threads_outside_the_block_pool():
+    source = (
+        "import threading\n"
+        "import multiprocessing.pool\n"
+        "from multiprocessing import Pool\n"
+        "from concurrent import futures\n"
+        "from concurrent.futures import ThreadPoolExecutor\n"
+        "class _BlockPool:\n"
+        "    def submit(self, n):\n"
+        "        return ThreadPoolExecutor(n)\n"
+        "def run(n):\n"
+        "    threading.Thread(target=print).start()\n"
+        "    lock = threading.Lock()\n"
+        "    return futures.ThreadPoolExecutor(n), ThreadPoolExecutor(max_workers=n)\n"
+    )
+    assert threads_outside_the_block_pool(source) == [
+        "line 2: imports multiprocessing.pool",
+        "line 3: imports multiprocessing",
+        "line 10: calls threading.Thread",
+        "line 12: calls futures.ThreadPoolExecutor",
+        "line 12: calls ThreadPoolExecutor",
+    ]

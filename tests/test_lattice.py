@@ -8,6 +8,7 @@ from nulut.lattice import (
     MIN_INTERVAL,
     check_finite,
     check_integer,
+    check_table_shape,
     coordinate_logit_vjp,
     coordinates_from_logits,
     identity_lut,
@@ -16,6 +17,7 @@ from nulut.lattice import (
     softmax_normalize,
     uniform_coordinates,
     validate_coordinates,
+    validate_table,
 )
 
 
@@ -46,6 +48,22 @@ class TestCheckFinite:
     @pytest.mark.parametrize("a", [np.zeros((3, 2, 2)), [0.5, -1e308], 3.0, np.empty(0)])
     def test_finite_accepted(self, a):
         check_finite("a", a)
+
+
+class TestCheckTableShape:
+    @pytest.mark.parametrize("shape", [(3, 2, 2, 2), (3, 5, 5, 5)])
+    def test_cubic_tables_accepted(self, shape):
+        check_table_shape(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape,match", [
+        ((3, 2, 3, 4), "table must be cubic"),
+        ((4, 3, 3, 3), r"table must have shape \(3, n, n, n\)"),
+        ((3, 1, 1, 1), r"table must have shape \(3, n, n, n\)"),
+    ])
+    def test_validate_table_shares_its_messages(self, shape, match):
+        for check in (check_table_shape, validate_table):
+            with pytest.raises(ValueError, match=match):
+                check(np.zeros(shape))
 
 
 class TestSoftmaxNormalize:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_lattice
 
@@ -200,3 +202,79 @@ class TestOneMaxvalRange:
                 with pytest.raises(error):
                     call()
         assert written.exists() == accepted
+
+
+# the six bytes bytes.isspace() accepts: space, \t, \n, \r, \v, \f
+WHITESPACE = [bytes([c]) for c in b" \t\n\r\x0b\x0c"]
+COMMENT_BODY = st.binary(max_size=8).map(lambda b: b"#" + b.replace(b"\n", b""))
+# a comment ends at a newline, which is also whitespace between fields
+SEPARATOR_PIECE = st.one_of(st.sampled_from(WHITESPACE), COMMENT_BODY.map(lambda c: c + b"\n"))
+HEADER_FIELDS = ("width", "height", "maxval")
+
+
+@st.composite
+def p6_files(draw):
+    """(data, width, height, maxval, samples, spans): a valid P6 file whose
+    header fields sit between random runs of whitespace and comments;
+    spans[k] is the (start, end) of field k's digits in data."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    maxval = draw(st.one_of(st.sampled_from([1, 8, 255, 256, 65535]), st.integers(1, 65535)))
+    data, spans = b"P6", []
+    for k, value in enumerate((width, height, maxval)):
+        # the field after the magic may follow it directly; the others need
+        # a separator, or their digits would run together
+        data += b"".join(draw(st.lists(SEPARATOR_PIECE, min_size=int(k > 0), max_size=4)))
+        digits = b"0" * draw(st.integers(0, 2)) + str(value).encode("ascii")
+        spans.append((len(data), len(data) + len(digits)))
+        data += digits
+    data += draw(st.sampled_from(WHITESPACE))
+    # samples below 9 are neither digits nor whitespace, so a header that
+    # loses a field never reads one of its fields out of the raster
+    samples = np.array(draw(st.lists(st.integers(0, min(maxval, 8)),
+                                     min_size=3 * width * height, max_size=3 * width * height)))
+    dtype = ">u2" if maxval > 255 else "u1"
+    data += samples.astype(dtype).tobytes()
+    return data, width, height, maxval, samples.reshape(height, width, 3).transpose(2, 0, 1), spans
+
+
+class TestHeaderGrammar:
+    """Header fields read through any mix of the six whitespace bytes and # comments."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(file=p6_files())
+    @example(file=(b"P6\x0b2\x0c#\x0c\r\n1#x 9\n#\n255\t" + bytes(range(6)),
+                   2, 1, 255, np.arange(6).reshape(1, 2, 3).transpose(2, 0, 1), None))
+    def test_reads_the_declared_fields(self, tmp_path_factory, file):
+        data, width, height, maxval, samples, _ = file
+        path = tmp_path_factory.getbasetemp() / "grammar.ppm"
+        path.write_bytes(data)
+        raw, read_maxval = read_ppm(path, raw=True)
+        assert read_maxval == maxval and raw.shape == (3, height, width)
+        assert np.array_equal(raw, samples)
+        assert np.array_equal(read_ppm(path)[0], samples / maxval)
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(file=p6_files(), field=st.integers(0, 2),
+           edit=st.one_of(st.just("remove"), st.just("cut"),
+                          st.sampled_from([b"x", b"-", b"+", b"P", b"\x00", b"\xff", b"\x1c"])),
+           comment=COMMENT_BODY)
+    def test_missing_or_bad_field_names_an_offset_in_the_data(self, tmp_path_factory, file,
+                                                              field, edit, comment):
+        data, spans = file[0], file[-1]
+        start, end = spans[field]
+        if edit == "remove":
+            data = data[:start] + data[end:]
+        elif edit == "cut":
+            # the file ends inside a comment where the field should start
+            data = data[:start] + comment
+        else:
+            data = data[:start] + edit + data[end:]
+        path = tmp_path_factory.getbasetemp() / "bad_grammar.ppm"
+        path.write_bytes(data)
+        with pytest.raises(PpmParseError) as info:
+            read_ppm(path)
+        assert 0 <= info.value.offset <= len(data)
+        if edit == "cut":
+            assert str(info.value) == f"expected {HEADER_FIELDS[field]} (at byte {len(data)})"
+        elif edit != "remove":
+            assert str(info.value) == f"expected {HEADER_FIELDS[field]} (at byte {start})"

@@ -160,6 +160,37 @@ class TestMonotonicityLoss:
             assert abs(grad[idx] - fd) / max(abs(fd), 1e-6) < 1e-5
 
 
+class TestRegularizerTableShape:
+    """Both regularizers refuse a table that is not (3, n, n, n), n >= 2, by name."""
+
+    BAD_SHAPES = [
+        ((3, 2, 3, 4), r"table must be cubic, got \(3, 2, 3, 4\)"),
+        ((3, 4, 4, 3), r"table must be cubic, got \(3, 4, 4, 3\)"),
+        ((2, 3, 3, 3), r"table must have shape \(3, n, n, n\) with n>=2, got \(2, 3, 3, 3\)"),
+        ((3, 1, 1, 1), r"table must have shape \(3, n, n, n\) with n>=2, got \(3, 1, 1, 1\)"),
+        ((3, 3, 3), r"table must have shape \(3, n, n, n\) with n>=2, got \(3, 3, 3\)"),
+    ]
+
+    @pytest.mark.parametrize("loss_grad", [smoothness_loss_grad, monotonicity_loss_grad])
+    @pytest.mark.parametrize("shape,match", BAD_SHAPES, ids=[str(s) for s, _ in BAD_SHAPES])
+    def test_rejects_bad_shape_by_name(self, loss_grad, shape, match):
+        with pytest.raises(ValueError, match=match):
+            loss_grad(np.zeros(shape))
+
+    @pytest.mark.parametrize("shape,match", BAD_SHAPES[:1])
+    def test_total_loss_rejects_bad_table(self, rng, shape, match):
+        img = rng.random((3, 4, 4))
+        with pytest.raises(ValueError, match=match):
+            total_loss(img, img, np.zeros(shape), LossWeights())
+
+    def test_non_finite_table_gives_nan_loss_unscanned(self):
+        # the values are not scanned; a NaN shows as a NaN loss, which the
+        # training step's loss check reports
+        table = identity_lut(uniform_coordinates(4))
+        table[1, 2, 2, 2] = np.nan
+        assert np.isnan(smoothness_loss(table)) and np.isnan(monotonicity_loss(table))
+
+
 class TestTotalLoss:
     def test_perfect_identity_setup_is_zero(self, rng):
         img = rng.random((3, 5, 5))
@@ -367,6 +398,40 @@ class TestChunkedAdam:
             adam_step(params, {"a": rng.normal(size=size), "b": rng.normal(size=size)},
                       state, TrainConfig())
         assert state.t == {"a": 2, "b": 2}
+
+    @pytest.mark.parametrize("grads,lr_scales,match", [
+        ({"a": np.ones(3), "b": np.ones(2)}, None, "gradient for 'b' names no parameter"),
+        ({"a": np.ones(3), "c": np.ones(4)}, None,
+         r"gradient for 'c' of shape \(4,\) does not broadcast to its parameter's shape \(2, 3\)"),
+        ({"a": np.ones(3), "c": np.ones((3, 3))}, None, r"shape \(3, 3\) does not broadcast"),
+        ({"a": np.ones(3), "c": np.ones((2, 3))}, {"c": np.nan},
+         r"lr_scales\['c'\] must be finite and non-negative, got nan"),
+        ({"a": np.ones(3), "c": np.ones((2, 3))}, {"c": -1.0},
+         r"lr_scales\['c'\] must be finite and non-negative, got -1.0"),
+        ({"a": np.ones(3), "c": np.ones((2, 3))}, {"c": True},
+         r"lr_scales\['c'\] must be a real number, got True"),
+    ], ids=["unknown-name", "no-broadcast", "wider", "nan-scale", "negative-scale", "bool-scale"])
+    def test_refusal_moves_no_parameter_or_moment(self, grads, lr_scales, match):
+        params = {"a": np.ones(3), "c": np.ones((2, 3))}
+        state = AdamState()
+
+        def snapshot():
+            return ({name: p.tobytes() for name, p in params.items()},
+                    {name: (state.m[name].tobytes(), state.v[name].tobytes(), state.t[name])
+                     for name in state.t})
+
+        # on fresh moments, then on moved ones; "a" comes first either way
+        for _ in range(2):
+            kept = snapshot()
+            with pytest.raises(ValueError, match=match):
+                adam_step(params, grads, state, TrainConfig(), lr_scales)
+            assert snapshot() == kept
+            adam_step(params, {"a": np.ones(3), "c": np.ones(3)}, state, TrainConfig(),
+                      {"c": 0.0})
+        assert state.t == {"a": 2, "c": 2}
+        # a zero scale is allowed, as interval_lr_decay allows it: c's moments
+        # advance while c stays put
+        assert np.array_equal(params["c"], np.ones((2, 3)))
 
 
 class TestFitDirect:

@@ -470,6 +470,26 @@ class TestBlockPool:
 
         assert map_blocks(run, list(range(4)), 4) == [0, 1, 2, 3]
 
+    def test_threads_capped_per_usable_cpu(self, fresh_pool, monkeypatch):
+        monkeypatch.setattr(transform, "usable_cpus", lambda: 1)
+        bound = transform.POOL_THREADS_PER_CPU
+        before = set(threading.enumerate())
+        ran_on = set()
+
+        def run(block):
+            ran_on.add(threading.current_thread())
+            time.sleep(0.0005)
+            return -block
+
+        blocks = list(range(3 * bound))
+        for workers in (bound + 3, 2 * bound + 5):
+            assert map_blocks(run, blocks, workers) == [-b for b in blocks]
+            started = set(threading.enumerate()) - before
+            assert len(started) <= bound
+            assert all(t.name.startswith(POOL_THREAD_NAME) for t in started)
+        assert len(ran_on - {threading.current_thread()}) <= bound
+        assert transform._POOL._threads == bound
+
 
 class TestNoResultAliasesAWorkspace:
     """Every array a public call returns survives the next call on the same thread."""
