@@ -16,7 +16,9 @@ comment running to the end of its line or of the file; one compiled
 pattern, _FIELD, reads each field that way.  Exactly one whitespace
 byte follows maxval, and the raster starts right after it.  Parse
 failures raise PpmParseError, which names the byte offset where the
-reader gave up.
+reader gave up.  A field with more digits than int() converts (4,300
+by default, sys.get_int_max_str_digits(); leading zeros count) raises
+PpmParseError "<field> too long" at the field's first digit.
 
 Writing rounds straight into the output raster over the same row blocks
 the transform uses (transform.row_blocks), so its temporaries stay
@@ -49,9 +51,14 @@ _FIELD = re.compile(rb"(?:\s|#[^\n]*)*(\d*)")
 
 def _read_int(data, pos, what):
     m = _FIELD.match(data, pos)
-    if not m.group(1):
+    digits = m.group(1)
+    if not digits:
         raise PpmParseError(f"expected {what}", m.start(1))
-    return int(m.group(1)), m.end()
+    try:
+        return int(digits), m.end()
+    except ValueError:
+        # int() refuses more digits than sys.get_int_max_str_digits()
+        raise PpmParseError(f"{what} too long: {len(digits)} digits", m.start(1)) from None
 
 
 def _sample_dtype(maxval):

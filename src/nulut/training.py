@@ -242,10 +242,13 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
     update is written into params[name], which first becomes a writable
     C-ordered float64 array if it is not one already; params is returned
     and state is advanced in place.  The moments and the parameters are
-    written in CHUNK_PIXELS-element chunks through two chunk-sized
+    written in chunks of CHUNK_PIXELS elements, or of the largest
+    parameter updated if that is smaller, through two chunk-sized
     buffers, with the whole-array expressions' operations in their order,
-    so no full-size temporary is made and the bits are those of the
-    whole-array update.
+    so the bits are those of the whole-array update.  The only full-size
+    temporary is a gradient's flat copy where it needs one: a gradient
+    that broadcasts is expanded to its parameter's size once, as is one
+    that is not C-contiguous.
     """
     for name, g in grads.items():
         if name not in params:
@@ -260,8 +263,9 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
             raise TrainingDivergedError(f"non-finite gradient for '{name}'")
         if lr_scales and name in lr_scales:
             _check_real(f"lr_scales['{name}']", lr_scales[name], zero_ok=True)
-    # no larger than the largest parameter, so small fits keep small buffers
-    chunk = min(transform.CHUNK_PIXELS, max([1, *map(np.size, grads.values())]))
+    # no larger than the largest parameter updated, so small fits keep small
+    # buffers; sized by the parameters, since a gradient may broadcast
+    chunk = min(transform.CHUNK_PIXELS, max([1, *(np.size(params[name]) for name in grads)]))
     scratch = np.empty((2, chunk))
     for name, g in grads.items():
         # the flat views below write through to the parameter and its moments

@@ -22,10 +22,13 @@ the level tables on the level route, and gives every row block one
 step, cells, which finds the block's cells from its input rows.  One
 blend core and one backward core run on those for transform_vjp and
 backward_pixel, which is transform_vjp on a 1x1 image; transform_image
-is transform_vjp's forward.  The backward returns analytic gradients of
-the output with respect to the table values, the sampling coordinates,
-and the input colors, so the whole lattice, knot positions included,
-can be fitted by gradient descent.  transform_vjp is the training
+is transform_vjp's forward.  The blend and the backward's table pass
+walk one corner sequence, _corners, which forms each corner's flat
+indices and trilinear weight and gathers its values, so the weights the
+backward scatters with are the forward's own bits.  The backward
+returns analytic gradients of the output with respect to the table
+values, the sampling coordinates, and the input colors, so the whole
+lattice, knot positions included, can be fitted by gradient descent.  transform_vjp is the training
 step's single pass, with one lifecycle on both routes: its forward
 finds each block's cells and blends them, and keeps nothing; its
 backward finds each block's cells again from the same rows (the float
@@ -224,8 +227,10 @@ def _scratch(slot, shape, dtype=np.float64):
     "idx" holds the level route's samples of one channel, then corner
     indices; "e0" the level route's low knot indices (the float route's
     come from _locate); "corner" the gathered corners, then the
-    backward's knot indices; "wrg" and "w" the chain's terms; and "cw"
-    the backward's weighted output gradients, then the cell widths.
+    backward's knot indices; "wrg" and "w" the corner weights of
+    _corners, which the blend and the backward's table pass share, then
+    the backward's chain terms; and "cw" the backward's weighted output
+    gradients, then the cell widths.
     """
     dtype = np.dtype(dtype)
     nbytes = dtype.itemsize * math.prod(shape)
@@ -268,15 +273,17 @@ def _base_index(e0, n):
     return base
 
 
-def _blend(flat, n, base, pairs):
-    """Trilinear blend of the 8 corners above the low corners base, (3, p).
+def _corners(flat, n, base, pairs):
+    """Walk the 8 corners above the low corners base, in (i, j, k) order.
 
-    flat is the (3, n^3) table and pairs the per-axis weight pairs.  The
-    sum is a new array: copied into the image's rows, it measured faster
-    on 1080p frames than blending straight into them.
-    Corners are summed from zero in (i, j, k) order with weights
-    (wr[i] * wg[j]) * wb[k], operation for operation as transform_pixel
-    does, so every path through here agrees bit-exactly.
+    flat is the (3, n^3) table and pairs the per-axis weight pairs.
+    Yields ((i, j, k), idx, corner, w) for each corner: its flat indices
+    (p,), its gathered values (3, p) and its weights (wr[i] * wg[j]) *
+    wb[k], operation for operation as transform_pixel forms them.  All
+    three live in the thread's workspace slots "idx", "corner" and "w"
+    (the product wr[i] * wg[j] in "wrg"), so each step overwrites the
+    last; a consumer may change them in place.  The blend and the
+    backward's table pass both walk this one sequence.
     """
     wr, wg, wb = pairs
     p = base.shape[0]
@@ -284,19 +291,31 @@ def _blend(flat, n, base, pairs):
     corner = _scratch("corner", (3, p))
     wrg = _scratch("wrg", (p,))
     w = _scratch("w", (p,))
-    out = np.zeros((3, p))
-    for i in (0, 1):
-        for j in (0, 1):
+    for i, j, k in _CORNERS:
+        if k == 0:
             np.multiply(wr[i], wg[j], out=wrg)
-            for k in (0, 1):
-                np.add(base, (i * n + j) * n + k, out=idx)
-                # with the default mode="raise", take(out=) copies its whole
-                # output to keep out intact on a bad index.  No index here is
-                # bad: e0 is clamped to [0, n - 2], so "clip" never clips
-                flat.take(idx, axis=1, out=corner, mode="clip")
-                np.multiply(wrg, wb[k], out=w)
-                corner *= w
-                out += corner
+        np.add(base, (i * n + j) * n + k, out=idx)
+        # with the default mode="raise", take(out=) copies its whole output
+        # to keep out intact on a bad index.  No index here is bad: e0 is
+        # clamped to [0, n - 2], so "clip" never clips
+        flat.take(idx, axis=1, out=corner, mode="clip")
+        np.multiply(wrg, wb[k], out=w)
+        yield (i, j, k), idx, corner, w
+
+
+def _blend(flat, n, base, pairs):
+    """Trilinear blend of the 8 corners above the low corners base, (3, p).
+
+    The sum is a new array: copied into the image's rows, it measured
+    faster on 1080p frames than blending straight into them.  Corners
+    come from _corners and are summed from zero in its order, operation
+    for operation as transform_pixel does, so every path through here
+    agrees bit-exactly.
+    """
+    out = np.zeros((3, base.shape[0]))
+    for _, _, corner, w in _corners(flat, n, base, pairs):
+        corner *= w
+        out += corner
     return out
 
 
@@ -560,35 +579,25 @@ def _backward_block(base, pairs, e0, gout, flat, widths, grad_input):
     e0.  The input gradient is written into grad_input (3, p); returns
     (grad_values_flat (3, n^3), grad_coords (3, n)), both newly
     allocated.  Every other temporary lives in the thread's workspace.
-    Scatter order is fixed: corners in (i, j, k) order, pixels in block
-    order within each corner.
+    The table pass walks the corners _blend walks, through _corners, and
+    scatters with their weights.  Scatter order is fixed: corners in
+    (i, j, k) order, pixels in block order within each corner.
     """
     n = widths.shape[1] + 1
     n3 = n * n * n
     p = base.shape[0]
-    wr, wg, wb = pairs
-    idx = _scratch("idx", (p,), np.intp)
-    vertex = _scratch("corner", (3, p))
-    wrg = _scratch("wrg", (p,))
-    w = _scratch("w", (p,))
     cw = _scratch("cw", (p,))
 
     # s[i, j, k] is the output gradient dotted with the vertex values at
     # (e_r + i, e_g + j, e_b + k): the channel sum every axis below needs
     s = _scratch("s", (2, 2, 2, p))
     grad_values = np.zeros((3, n3))
-    for i in (0, 1):
-        for j in (0, 1):
-            np.multiply(wr[i], wg[j], out=wrg)
-            for k in (0, 1):
-                np.add(base, (i * n + j) * n + k, out=idx)
-                flat.take(idx, axis=1, out=vertex, mode="clip")
-                vertex *= gout
-                np.sum(vertex, axis=0, out=s[i, j, k])
-                np.multiply(wrg, wb[k], out=w)
-                for c in range(3):
-                    np.multiply(w, gout[c], out=cw)
-                    grad_values[c] += np.bincount(idx, weights=cw, minlength=n3)
+    for ijk, idx, vertex, w in _corners(flat, n, base, pairs):
+        vertex *= gout
+        np.sum(vertex, axis=0, out=s[ijk])
+        for c in range(3):
+            np.multiply(w, gout[c], out=cw)
+            grad_values[c] += np.bincount(idx, weights=cw, minlength=n3)
 
     # chain through the normalized offsets: the weight derivative along one
     # axis pairs the other two axes' weights with the on-axis delta of s.
@@ -596,7 +605,7 @@ def _backward_block(base, pairs, e0, gout, flat, widths, grad_input):
     # knot takes -(1 - xd) times it and its high knot -xd times it
     grad_coords = np.empty((3, n))
     grad_input.fill(0.0)
-    term, w_uv = wrg, w
+    term, w_uv = _scratch("wrg", (p,)), _scratch("w", (p,))
     knots = _scratch("corner", (2, p), np.intp)
     knot_weights = _scratch("knot_weights", (2, p))
     for axis in range(3):

@@ -274,3 +274,54 @@ def test_checker_finds_threads_outside_the_block_pool():
         "line 12: calls futures.ThreadPoolExecutor",
         "line 12: calls ThreadPoolExecutor",
     ]
+
+
+def buffered_takes(source):
+    """take calls that pass out= with mode "raise" or none, as readable strings.
+
+    Covers a.take(...) and np.take(...), out and mode given by keyword or
+    by position.  Under mode="raise", the default, NumPy buffers a take's
+    whole output so that out stays intact on a bad index; a mode that is
+    not a string literal counts as "raise", since it cannot be read here.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "take"):
+            continue
+        params = ["indices", "axis", "out", "mode"]
+        if ast.unparse(node.func.value) in ("np", "numpy"):
+            params.insert(0, "a")
+        bound = dict(zip(params, node.args)) | {kw.arg: kw.value for kw in node.keywords}
+        mode = bound.get("mode")
+        if "out" in bound and not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                                   and mode.value != "raise"):
+            found.append(node)
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_take_buffers_its_output(path):
+    assert buffered_takes(path.read_text(encoding="utf-8")) == []
+
+
+def test_checker_finds_buffered_takes():
+    source = (
+        "import numpy as np\n"
+        "def gather(a, idx, out, mode):\n"
+        "    a.take(idx, out=out)\n"
+        "    a.take(idx, axis=1, out=out, mode='raise')\n"
+        "    np.take(a, idx, 0, out)\n"
+        "    a.take(idx, out=out, mode=mode)\n"
+        "    a.take(idx, 0, out, 'clip')\n"
+        "    np.take(a, idx, out=out, mode='wrap')\n"
+        "    a.take(idx)\n"
+        "    take(a, idx, out=out)\n"
+    )
+    assert buffered_takes(source) == [
+        "line 3: a.take(idx, out=out)",
+        "line 4: a.take(idx, axis=1, out=out, mode='raise')",
+        "line 5: np.take(a, idx, 0, out)",
+        "line 6: a.take(idx, out=out, mode=mode)",
+    ]

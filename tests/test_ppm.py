@@ -64,6 +64,19 @@ class TestRead:
         with pytest.raises(PpmParseError, match="truncated"):
             read_ppm(path)
 
+    @pytest.mark.parametrize("header,what,offset", [
+        (b"P6\n" + b"9" * 5000 + b" 1\n255\n", "width", 3),
+        (b"P6 1 #c\n" + b"7" * 5000 + b"\n255\n", "height", 8),
+        (b"P6\n1 1\n" + b"0" * 5000 + b"255\n", "maxval", 7),
+    ], ids=["width", "height", "maxval-zeros"])
+    def test_over_long_field_names_the_field(self, tmp_path, header, what, offset):
+        # int() converts at most 4,300 digits by default, leading zeros included
+        path = tmp_path / "long.ppm"
+        path.write_bytes(header + bytes(6))
+        with pytest.raises(PpmParseError, match=f"^{what} too long: ") as info:
+            read_ppm(path)
+        assert info.value.offset == offset
+
     def test_missing_dimension(self, tmp_path):
         path = tmp_path / "d.ppm"
         path.write_bytes(b"P6\n2\n")

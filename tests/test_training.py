@@ -433,6 +433,30 @@ class TestChunkedAdam:
         # advance while c stays put
         assert np.array_equal(params["c"], np.ones((2, 3)))
 
+    def test_broadcast_gradient_chunks_by_its_parameter(self, rng, monkeypatch):
+        size = 2 * CHUNK_PIXELS + 7
+        start = rng.normal(size=size)
+        g = rng.normal(size=(1,))
+        ref, ref_state = {"a": start.copy()}, AdamState()
+        params, state = {"a": start.copy()}, AdamState()
+        empty, buffers = np.empty, []
+
+        def recording_empty(shape, *args, **kwargs):
+            buffers.append(shape)
+            return empty(shape, *args, **kwargs)
+
+        for step in range(1, 4):
+            adam_step(ref, {"a": np.broadcast_to(g, (size,)).copy()}, ref_state, TrainConfig())
+            with monkeypatch.context() as patch:
+                patch.setattr(np, "empty", recording_empty)
+                adam_step(params, {"a": g}, state, TrainConfig())
+            assert params["a"].tobytes() == ref["a"].tobytes()
+            assert state.m["a"].tobytes() == ref_state.m["a"].tobytes()
+            assert state.v["a"].tobytes() == ref_state.v["a"].tobytes()
+            assert state.t == ref_state.t == {"a": step}
+        # the chunk buffers are sized by the parameter, not by the (1,) gradient
+        assert buffers == [(2, CHUNK_PIXELS)] * 3
+
 
 class TestFitDirect:
     def test_identity_task_stays_near_zero_loss(self, rng):

@@ -220,6 +220,33 @@ class TestTransformImage:
             transform_image(rng.random((4, 4, 3)), lattice)
 
 
+class TestCorners:
+    """_corners, the walk the blend and the backward share, against the scalar reference."""
+
+    @pytest.mark.parametrize("n_s", [2, 5])
+    def test_indices_and_weights_match_the_scalar_reference(self, rng, n_s):
+        lattice = random_lattice(rng, n_s, logit_scale=2.0)
+        coords = lattice.coords
+        # random colours, every knot on each axis (its own channel's and the
+        # others', shuffled), and the ends 0.0 and 1.0
+        knots = np.stack([rng.permutation(coords[rng.integers(3)]) for _ in range(3)])
+        pix = np.concatenate([rng.random((3, 40)), coords, knots,
+                              np.zeros((3, 1)), np.ones((3, 1))], axis=1)
+        _, cells = transform._route(pix.reshape(3, 1, -1), lattice, None)
+        base, pairs, e0 = cells(0, 1)
+        xd = pairs[:, 1]
+        reference = [trilinear_weights(*xd[:, q]) for q in range(pix.shape[1])]
+        flat = lattice.values.reshape(3, -1)
+        walked = []
+        for (i, j, k), idx, corner, w in transform._corners(flat, n_s, base, pairs):
+            walked.append((i, j, k))
+            expected = np.ravel_multi_index((e0[0] + i, e0[1] + j, e0[2] + k), (n_s,) * 3)
+            assert np.array_equal(idx, expected)
+            assert corner.tobytes() == flat[:, expected].tobytes()
+            assert w.tobytes() == np.array([r[i, j, k] for r in reference]).tobytes()
+        assert walked == [(i, j, k) for i in (0, 1) for j in (0, 1) for k in (0, 1)]
+
+
 def _level_lattices(rng):
     """Random non-uniform lattices plus the edge cases of level lookup."""
     lattices = [random_lattice(rng, n_s, logit_scale=2.0) for n_s in (2, 4, 17, 33)]
