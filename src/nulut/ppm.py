@@ -89,14 +89,13 @@ def read_ppm(path, raw: bool = False) -> tuple[np.ndarray, int]:
         raise PpmParseError("expected single whitespace after maxval", pos)
     pos += 1
     dtype = _sample_dtype(maxval)
-    expected = width * height * 3 * dtype.itemsize
-    payload = data[pos : pos + expected]
-    if len(payload) < expected:
-        raise PpmParseError(
-            f"truncated payload: need {expected} bytes, have {len(payload)}",
-            pos + len(payload),
-        )
-    raster = np.frombuffer(payload, dtype=dtype).reshape(height, width, 3)
+    samples = width * height * 3
+    if samples * dtype.itemsize > len(data) - pos:
+        # named by its fields: the product may have more digits than str() writes
+        raise PpmParseError(f"truncated payload: {width}x{height} pixels of "
+                            f"{3 * dtype.itemsize} bytes, have {len(data) - pos} bytes",
+                            len(data))
+    raster = np.frombuffer(data, dtype, samples, pos).reshape(height, width, 3)
     if maxval < np.iinfo(dtype).max and raster.max() > maxval:
         first = int(np.argmax(raster.reshape(-1) > maxval))
         raise PpmParseError(

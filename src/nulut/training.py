@@ -7,12 +7,10 @@ non-decreasing along its own axis.  The interval parameters are frozen
 for a warmup period and afterwards trained at a decayed learning rate,
 which keeps the knot layout stable while the table values settle.
 
-A step's cost sits as much on the table side as on the pixel side: a
-predictor updates m + 1 tables' worth of parameters whatever the image
-size.  So a step whose row blocks leave a usable CPU idle runs the two
-regularizers on the table alongside the pixel side (transform,
-reconstruction loss, backward), and Adam works through each parameter
-in cache-sized chunks, in place.  Neither changes a bit of the results.
+A step runs in order on its caller: the transform, whose row blocks go
+to every usable CPU, then the reconstruction loss, the backward and the
+two regularizers on the table.  Adam then works through each parameter
+in cache-sized chunks, in place, which changes no bit of the results.
 """
 
 from __future__ import annotations
@@ -83,13 +81,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "freeze_interval_epochs"):
-            check_integer(name, getattr(self, name))
+        check_integer("epochs", self.epochs, minimum=1)
+        check_integer("freeze_interval_epochs", self.freeze_interval_epochs)
         check_integer("seed", self.seed, minimum=0)
         _check_real("learning_rate", self.learning_rate, zero_ok=False)
         _check_real("interval_lr_decay", self.interval_lr_decay, zero_ok=True)
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be at least 1, got {self.epochs}")
         if not 0 <= self.freeze_interval_epochs <= self.epochs:
             raise ValueError(
                 f"freeze_interval_epochs must lie in [0, epochs], got {self.freeze_interval_epochs}"
@@ -322,32 +318,19 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
     """((loss, l_r, l_s, l_m), grad_values, grad_logits) of one pair.
 
     q is the softmax output the lattice's coordinates were built from.
-    Two jobs that only read the lattice run through transform.map_blocks:
-    the pixel side (the transform on every usable CPU, and its backward)
-    and the two table regularizers.  They run side by side when the
-    image has fewer row blocks than there are usable CPUs, and in order
-    otherwise, where the pixel side keeps every CPU busy itself.  No
-    result depends on the CPU count, and a quantized pair takes the
+    The transform and the backward run their row blocks on every usable
+    CPU; everything else runs on the calling thread, in code order, so
+    no result depends on the CPU count.  A quantized pair takes the
     level-table route.
     """
-    workers = transform.usable_cpus()
-
-    def pixel_side():
-        pred, backward = transform_vjp(pair.input, lattice, workers, maxval=pair.maxval)
-        l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
-        # the prediction is not kept, so the backward below can reuse its memory
-        del pred
-        return l_r, backward(g_pred)
-
-    def regularizers():
-        return smoothness_loss_grad(lattice.values), monotonicity_loss_grad(lattice.values)
-
-    # beside row blocks that fill every CPU, a third thread measured slower
-    # and larger (one more malloc arena), so the jobs then run in order
-    idle_cpu = len(transform.row_blocks(*pair.input.shape[1:])) < workers
-    (l_r, lat_grads), ((l_s, g_s), (l_m, g_m)) = transform.map_blocks(
-        lambda job: job(), [pixel_side, regularizers], 2 if idle_cpu else 1
-    )
+    pred, backward = transform_vjp(pair.input, lattice, transform.usable_cpus(),
+                                   maxval=pair.maxval)
+    l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
+    # the prediction is not kept, so the backward below can reuse its memory
+    del pred
+    lat_grads = backward(g_pred)
+    l_s, g_s = smoothness_loss_grad(lattice.values)
+    l_m, g_m = monotonicity_loss_grad(lattice.values)
     loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
     # (grad_values + lambda_s*g_s) + lambda_m*g_m, written into arrays this step owns
     g_table = lat_grads.grad_values
@@ -447,15 +430,10 @@ def predictor_forward(features, params: PredictorParams):
     return lattice, q, predict_weights(features, params)
 
 
-def predictor_loss_and_grads(
-    params: PredictorParams, pair: ImagePair, weights: LossWeights
-):
-    """Loss terms and gradients w.r.t. every head parameter for one pair."""
-    return _predictor_loss_and_grads(params, pair, extract_features(pair.image()), weights)
-
-
-def _predictor_loss_and_grads(params, pair, features, weights):
-    """predictor_loss_and_grads given the pair's input features."""
+def predictor_loss_and_grads(params: PredictorParams, pair: ImagePair, features,
+                             weights: LossWeights):
+    """Loss terms and gradients w.r.t. every head parameter for one pair,
+    given its input features, extract_features(pair.image())."""
     lattice, q, blend = predictor_forward(features, params)
     parts, g_table, g_logits = _lattice_loss_and_grads(lattice, q, pair, weights)
     g_table = g_table.ravel()
@@ -495,16 +473,13 @@ def train_predictor(
     check_integer("batch_size", batch_size, minimum=1)
     params = init_params(n_s, m, shared=shared, seed=config.seed)
 
-    def loss_and_grads(item):
-        pair, features = item
-        return _predictor_loss_and_grads(params, pair, features, weights)
-
     # the inputs never change, so each pair's features are extracted once
     items = [(pair, extract_features(pair.image())) for pair in pairs]
     batches = [items[start : start + batch_size] for start in range(0, len(items), batch_size)]
     # Adam writes through the object's own attribute dict, so an array it
     # has to replace is replaced on params too
-    history = _optimize(vars(params), loss_and_grads, batches, config, ("g_weights", "g_bias"))
+    history = _optimize(vars(params), lambda item: predictor_loss_and_grads(params, *item, weights),
+                        batches, config, ("g_weights", "g_bias"))
     return params, history
 
 

@@ -431,22 +431,19 @@ _POOL = _BlockPool()
 
 
 def map_blocks(run, blocks, workers):
-    """run(block) for every block, results in block order.
-
-    A block is whatever run takes: a row range here, a job in training.
+    """run(block) for every row block, results in block order.
 
     With more than one worker, the calling thread runs the first block,
     and it and workers - 1 threads of the module's one block pool take
     the other block indices from one shared counter, so the caller does
-    a share of the work instead of waiting on the pool.  The first block
-    (training's pixel side) thus always runs on the caller, and only one
-    workspace holds its temporaries.  Once the counter is drained,
-    shares no pool thread has started are cancelled and only running
-    ones are waited for, so a call made from inside a pool thread's
-    share never waits on a pool that is busy running it.  When any
-    share raises, no further block starts; the call waits for the
-    shares still running and re-raises.  No block runs after the call
-    returns.
+    a share of the work instead of waiting on the pool.  With one block
+    or one worker, the caller runs every block and the pool is not
+    touched.  Once the counter is drained, shares no pool thread has
+    started are cancelled and only running ones are waited for, so a
+    call made from inside a pool thread's share never waits on a pool
+    that is busy running it.  When any share raises, no further block
+    starts; the call waits for the shares still running and re-raises.
+    No block runs after the call returns.
 
     Each thread that runs blocks keeps the workspace buffers its blocks
     grew after the call returns (up to 7.1 MB for a training backward

@@ -314,7 +314,7 @@ class TestZeroLengthRuns:
             ["train", "--pairs-manifest", str(manifest), "--nsize", "3", "--m", "1",
              "--epochs", "0", "--out", str(tmp_path / "p.nulut")]
         ) == 2
-        self.assert_one_line_error(capsys, "error: epochs must be at least 1, got 0\n")
+        self.assert_one_line_error(capsys, "error: epochs must be >= 1, got 0\n")
 
 
 class TestNegativeFreeze:

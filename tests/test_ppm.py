@@ -77,6 +77,14 @@ class TestRead:
             read_ppm(path)
         assert info.value.offset == offset
 
+    def test_raster_size_with_more_digits_than_str_writes_is_truncated(self, tmp_path):
+        # each field fits int(), but width * height * 3 has about 5,000 digits
+        path = tmp_path / "huge.ppm"
+        path.write_bytes(b"P6\n" + b"9" * 2500 + b" " + b"9" * 2500 + b"\n255\n")
+        with pytest.raises(PpmParseError, match="^truncated payload: ") as info:
+            read_ppm(path)
+        assert info.value.offset == 5009
+
     def test_missing_dimension(self, tmp_path):
         path = tmp_path / "d.ppm"
         path.write_bytes(b"P6\n2\n")
@@ -291,3 +299,45 @@ class TestHeaderGrammar:
             assert str(info.value) == f"expected {HEADER_FIELDS[field]} (at byte {len(data)})"
         elif edit != "remove":
             assert str(info.value) == f"expected {HEADER_FIELDS[field]} (at byte {start})"
+
+
+# tokens a damaged header may carry in place of a field; 4,300 nines is the
+# longest field int() converts, and times a height and 3 it has 4,301 digits
+ODD_FIELDS = [b"", b"0", b"00", b"-1", b"+1", b"x", b"1.5", b"#", b"\xff", b"65536",
+              b"99999999999999999999", b"9" * 2500, b"9" * 4300, b"9" * 4301]
+
+P6_EDITS = st.one_of(
+    st.tuples(st.just("byte"), st.integers(min_value=0), st.integers(0, 255)),
+    st.tuples(st.just("truncate"), st.integers(min_value=0), st.just(None)),
+    st.tuples(st.just("field"), st.integers(0, 2), st.sampled_from(ODD_FIELDS)),
+)
+
+
+def edit_p6(data, spans, edit):
+    """data with one byte set, cut short, or one header field replaced."""
+    kind, where, what = edit
+    if kind == "byte":
+        i = where % len(data)
+        return data[:i] + bytes([what]) + data[i + 1:]
+    if kind == "truncate":
+        return data[:where % len(data)]
+    start, end = spans[where]
+    return data[:start] + what + data[end:]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(file=p6_files(), edit=P6_EDITS)
+# setting byte 0 to "P" leaves this header as it is
+@example(file=(b"P6\n" + b"9" * 2500 + b" " + b"9" * 2500 + b"\n255\n", None, None, None,
+               None, None), edit=("byte", 0, ord("P")))
+def test_damaged_p6_reads_or_raises_parse_error(tmp_path_factory, file, edit):
+    """Any one edit of a valid P6 file reads, or raises PpmParseError inside the data."""
+    data = edit_p6(file[0], file[-1], edit)
+    path = tmp_path_factory.getbasetemp() / "damaged.ppm"
+    path.write_bytes(data)
+    try:
+        img, maxval = read_ppm(path)
+    except PpmParseError as error:
+        assert 0 <= error.offset <= len(data)
+    else:
+        assert img.shape[0] == 3 and 1 <= maxval <= transform.MAX_MAXVAL

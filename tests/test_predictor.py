@@ -200,12 +200,13 @@ class TestEndToEndGradients:
         params.h0_weights[:] = rng.normal(0, 0.05, params.h0_weights.shape)
         img = rng.random((3, 4, 4))
         pair = ImagePair(img, img**0.7)
+        features = extract_features(pair.image())
         weights = LossWeights()
-        (loss, *_), grads = predictor_loss_and_grads(params, pair, weights)
+        (loss, *_), grads = predictor_loss_and_grads(params, pair, features, weights)
 
         def loss_at(pdict):
             trial = replace(params, **{k: v.copy() for k, v in pdict.items()})
-            (value, *_), _ = predictor_loss_and_grads(trial, pair, weights)
+            (value, *_), _ = predictor_loss_and_grads(trial, pair, features, weights)
             return value
 
         pdict = {name: getattr(params, name) for name in PARAM_ARRAYS}

@@ -799,11 +799,11 @@ class TestTrainPredictorBasics:
 
 
 class TestStepJobs:
-    """The regularizers run beside the pixel side; no result depends on the CPU count."""
+    """A step runs in order on its caller; no result depends on the CPU count."""
 
     @staticmethod
     def float_pairs(rng, count):
-        # 64 x 64 pixels are one row block, so the two step jobs are the only concurrency
+        # 64 x 64 pixels are one row block, so a step runs on the caller alone
         assert len(transform.row_blocks(64, 64)) == 1
         images = [rng.random((3, 64, 64)) for _ in range(count)]
         return [ImagePair(img, img**0.6) for img in images]
@@ -833,47 +833,26 @@ class TestStepJobs:
             runs.append((lattice.coords.tobytes(), lattice.values.tobytes(), history.tobytes()))
         assert runs[0] == runs[1] == runs[2]
 
-    def test_regularizers_run_beside_the_pixel_side(self, rng, monkeypatch):
-        regularized = threading.Event()
+    @pytest.mark.parametrize("shape,blocks", [((64, 64), 1), ((100, 300), 2)])
+    def test_step_functions_run_on_the_calling_thread(self, rng, monkeypatch, shape, blocks):
         threads = {}
 
-        def pixel_side(*args, **kwargs):
-            threads["pixel"] = threading.get_ident()
-            # run in sequence, the regularizers could not start until this returned
-            assert regularized.wait(timeout=10)
-            return transform_vjp(*args, **kwargs)
+        def spy(function):
+            def spied(*args, **kwargs):
+                threads.setdefault(function.__name__, set()).add(threading.get_ident())
+                return function(*args, **kwargs)
+            monkeypatch.setattr(training, function.__name__, spied)
 
-        def smoothness(table):
-            threads["regularizers"] = threading.get_ident()
-            regularized.set()
-            return smoothness_loss_grad(table)
-
+        img = rng.random((3, *shape))
+        assert len(transform.row_blocks(*shape)) == blocks
         monkeypatch.setattr(transform, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(training, "transform_vjp", pixel_side)
-        monkeypatch.setattr(training, "smoothness_loss_grad", smoothness)
-        config = TrainConfig(learning_rate=1e-2, epochs=1, freeze_interval_epochs=0)
-        fit_direct(self.float_pairs(rng, 1), 5, config)
-        assert threads["pixel"] != threads["regularizers"]
-
-    def test_jobs_run_in_order_when_row_blocks_fill_the_cpus(self, rng, monkeypatch):
-        threads = []
-
-        def pixel_side(*args, **kwargs):
-            threads.append(threading.get_ident())
-            return transform_vjp(*args, **kwargs)
-
-        def smoothness(table):
-            threads.append(threading.get_ident())
-            return smoothness_loss_grad(table)
-
-        img = rng.random((3, 100, 300))
-        assert len(transform.row_blocks(100, 300)) == 2
-        monkeypatch.setattr(transform, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(training, "transform_vjp", pixel_side)
-        monkeypatch.setattr(training, "smoothness_loss_grad", smoothness)
-        config = TrainConfig(learning_rate=1e-2, epochs=1, freeze_interval_epochs=0)
+        for function in (transform_vjp, smoothness_loss_grad, monotonicity_loss_grad):
+            spy(function)
+        config = TrainConfig(learning_rate=1e-2, epochs=2, freeze_interval_epochs=0)
         fit_direct([ImagePair(img, img**0.6)], 5, config)
-        assert threads == [threading.get_ident()] * 2
+        caller = {threading.get_ident()}
+        assert threads == {"transform_vjp": caller, "smoothness_loss_grad": caller,
+                           "monotonicity_loss_grad": caller}
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_regularizer_error_reaches_the_caller(self, rng, monkeypatch, cpus):
