@@ -46,7 +46,8 @@ class LutFormatError(ValueError):
 
 
 def _fmt(values):
-    return " ".join(f"{v:.17g}" for v in values)
+    # Python floats format to the same text as NumPy scalars, and faster
+    return " ".join(f"{v:.17g}" for v in np.asarray(values).tolist())
 
 
 def save_lattice(lattice: Lattice, path, predictor: PredictorParams | None = None):

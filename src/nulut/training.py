@@ -7,10 +7,14 @@ non-decreasing along its own axis.  The interval parameters are frozen
 for a warmup period and afterwards trained at a decayed learning rate,
 which keeps the knot layout stable while the table values settle.
 
-A step runs in order on its caller: the transform, whose row blocks go
-to every usable CPU, then the reconstruction loss, the backward and the
-two regularizers on the table.  Adam then works through each parameter
-in cache-sized chunks, in place, which changes no bit of the results.
+A step is one list of independent jobs on transform.map_blocks, run on
+every usable CPU: the pixel side (the transform, whose row blocks fan
+out from the caller, the reconstruction loss and the backward) and the
+two regularizers on the table.  Adam then works through the parameters
+in cache-sized chunks, in place, one map_blocks job per chunk.  Each job
+only reads what the step shares and writes what it owns, and results
+are combined on the caller in code order, so no bit of the results
+depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -157,8 +161,10 @@ def smoothness_loss_grad(table):
     for axis in (1, 2, 3):
         d2 = np.diff(t, n=2, axis=axis)
         total += float(np.sum(d2 * d2))
+        # scaled in place, the same bits as a scaled copy without the temporary;
         # views with the differenced axis first, so one slice fits every axis
-        g2 = np.moveaxis((2.0 / count) * d2, axis, 0)
+        d2 *= 2.0 / count
+        g2 = np.moveaxis(d2, axis, 0)
         g = np.moveaxis(grad, axis, 0)
         g[:-2] += g2
         g[1:-1] -= 2.0 * g2
@@ -181,9 +187,10 @@ def monotonicity_loss_grad(table):
     grad = np.zeros_like(t)
     for c in range(3):
         d = np.diff(t[c], axis=c)
-        neg = np.minimum(d, 0.0)
+        neg = np.minimum(d, 0.0, out=d)
         total += float(np.sum(neg * neg))
-        gd = np.moveaxis((2.0 / count) * neg, c, 0)
+        neg *= 2.0 / count
+        gd = np.moveaxis(neg, c, 0)
         g = np.moveaxis(grad[c], c, 0)
         g[1:] += gd
         g[:-1] -= gd
@@ -237,14 +244,17 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
     advance, so a frozen group resumes cleanly when unfrozen).  Each
     update is written into params[name], which first becomes a writable
     C-ordered float64 array if it is not one already; params is returned
-    and state is advanced in place.  The moments and the parameters are
-    written in chunks of CHUNK_PIXELS elements, or of the largest
-    parameter updated if that is smaller, through two chunk-sized
-    buffers, with the whole-array expressions' operations in their order,
-    so the bits are those of the whole-array update.  The only full-size
-    temporary is a gradient's flat copy where it needs one: a gradient
-    that broadcasts is expanded to its parameter's size once, as is one
-    that is not C-contiguous.
+    and state is advanced in place.  The moments and step counts are set
+    up on the caller.  The moments and the parameters are then written in
+    chunks of CHUNK_PIXELS elements, or of the largest parameter updated
+    if that is smaller: each chunk of every parameter is one
+    transform.map_blocks job on every usable CPU, through two buffers of
+    its own no larger than a chunk, with the whole-array expressions'
+    operations in their order.  The update is elementwise, so the bits
+    are those of the whole-array update at any CPU count.  The only
+    full-size temporary is a gradient's flat copy where it needs one: a
+    gradient that broadcasts is expanded to its parameter's size once, as
+    is one that is not C-contiguous.
     """
     for name, g in grads.items():
         if name not in params:
@@ -262,7 +272,7 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
     # no larger than the largest parameter updated, so small fits keep small
     # buffers; sized by the parameters, since a gradient may broadcast
     chunk = min(transform.CHUNK_PIXELS, max([1, *(np.size(params[name]) for name in grads)]))
-    scratch = np.empty((2, chunk))
+    jobs = []
     for name, g in grads.items():
         # the flat views below write through to the parameter and its moments
         p = params[name] = np.require(params[name], np.float64, "CW")
@@ -280,26 +290,31 @@ def adam_step(params: dict, grads: dict, state: AdamState, config: TrainConfig,
         # a gradient broadcasts against its parameter, as in the whole-array form
         flat = (np.ravel(np.broadcast_to(g, p.shape)), p.reshape(-1),
                 state.m[name].reshape(-1), state.v[name].reshape(-1))
-        for start in range(0, flat[0].size, chunk):
-            gc, pc, mc, vc = (x[start : start + chunk] for x in flat)
-            a, b = scratch[:, : gc.size]
-            # m = b1*m + (1 - b1)*g
-            mc *= ADAM_BETA1
-            np.multiply(gc, 1.0 - ADAM_BETA1, out=a)
-            mc += a
-            # v = b2*v + (1 - b2)*(g*g)
-            vc *= ADAM_BETA2
-            np.multiply(gc, gc, out=a)
-            a *= 1.0 - ADAM_BETA2
-            vc += a
-            # p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
-            np.divide(mc, c1, out=a)
-            a *= lr
-            np.divide(vc, c2, out=b)
-            np.sqrt(b, out=b)
-            b += ADAM_EPS
-            a /= b
-            pc -= a
+        jobs += [(flat, start, lr, c1, c2) for start in range(0, p.size, chunk)]
+
+    def update(job):
+        flat, start, lr, c1, c2 = job
+        gc, pc, mc, vc = (x[start : start + chunk] for x in flat)
+        a, b = np.empty((2, gc.size))
+        # m = b1*m + (1 - b1)*g
+        mc *= ADAM_BETA1
+        np.multiply(gc, 1.0 - ADAM_BETA1, out=a)
+        mc += a
+        # v = b2*v + (1 - b2)*(g*g)
+        vc *= ADAM_BETA2
+        np.multiply(gc, gc, out=a)
+        a *= 1.0 - ADAM_BETA2
+        vc += a
+        # p = p - lr*(m/c1) / (sqrt(v/c2) + eps)
+        np.divide(mc, c1, out=a)
+        a *= lr
+        np.divide(vc, c2, out=b)
+        np.sqrt(b, out=b)
+        b += ADAM_EPS
+        a /= b
+        pc -= a
+
+    transform.map_blocks(update, jobs, transform.usable_cpus())
     return params
 
 
@@ -318,19 +333,30 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
     """((loss, l_r, l_s, l_m), grad_values, grad_logits) of one pair.
 
     q is the softmax output the lattice's coordinates were built from.
-    The transform and the backward run their row blocks on every usable
-    CPU; everything else runs on the calling thread, in code order, so
-    no result depends on the CPU count.  A quantized pair takes the
-    level-table route.
+    The step is one list of three jobs on transform.map_blocks, run on
+    every usable CPU: the pixel side (the transform, the reconstruction
+    loss and the backward), then smoothness_loss_grad and
+    monotonicity_loss_grad on the table.  map_blocks runs the pixel side
+    on the caller, so its own row blocks still fan out from there; with
+    one usable CPU every job runs in order on the caller.  Each job only
+    reads the lattice and its own inputs, and the caller combines their
+    results in code order, so no result depends on the CPU count.  A
+    quantized pair takes the level-table route.
     """
-    pred, backward = transform_vjp(pair.input, lattice, transform.usable_cpus(),
-                                   maxval=pair.maxval)
-    l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
-    # the prediction is not kept, so the backward below can reuse its memory
-    del pred
-    lat_grads = backward(g_pred)
-    l_s, g_s = smoothness_loss_grad(lattice.values)
-    l_m, g_m = monotonicity_loss_grad(lattice.values)
+    workers = transform.usable_cpus()
+
+    def pixel_side():
+        pred, backward = transform_vjp(pair.input, lattice, workers, maxval=pair.maxval)
+        l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
+        # the prediction is not kept, so the backward below can reuse its memory
+        del pred
+        return l_r, backward(g_pred)
+
+    # the step functions are read from the module's globals when each job runs
+    jobs = [pixel_side, lambda: smoothness_loss_grad(lattice.values),
+            lambda: monotonicity_loss_grad(lattice.values)]
+    (l_r, lat_grads), (l_s, g_s), (l_m, g_m) = transform.map_blocks(
+        lambda job: job(), jobs, workers)
     loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
     # (grad_values + lambda_s*g_s) + lambda_m*g_m, written into arrays this step owns
     g_table = lat_grads.grad_values

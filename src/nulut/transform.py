@@ -319,18 +319,6 @@ def _blend(flat, n, base, pairs):
     return out
 
 
-def _transform_block(pix, coords, values):
-    """Transform pixel columns (3, p) against raw, unvalidated lattice arrays.
-
-    The finite-difference tests call it: they perturb the pinned end
-    knots, which Lattice would reject.  No library path calls it; images
-    go through _route.
-    """
-    n = coords.shape[1]
-    e0, xd = _locate(coords, pix)
-    return _blend(values.reshape(3, n * n * n), n, _base_index(e0, n), _weight_pairs(xd))
-
-
 def _level_cells(samples, e0_table, pairs_table):
     """Low knot indices e0 (3, p) and weight pairs of samples, in the workspace.
 
@@ -431,25 +419,27 @@ _POOL = _BlockPool()
 
 
 def map_blocks(run, blocks, workers):
-    """run(block) for every row block, results in block order.
+    """run(block) for every item of blocks, results in item order.
 
-    With more than one worker, the calling thread runs the first block,
-    and it and workers - 1 threads of the module's one block pool take
-    the other block indices from one shared counter, so the caller does
-    a share of the work instead of waiting on the pool.  With one block
-    or one worker, the caller runs every block and the pool is not
-    touched.  Once the counter is drained, shares no pool thread has
-    started are cancelled and only running ones are waited for, so a
-    call made from inside a pool thread's share never waits on a pool
-    that is busy running it.  When any share raises, no further block
-    starts; the call waits for the shares still running and re-raises.
-    No block runs after the call returns.
+    The items are independent units of work: an image's row blocks, or
+    the jobs of a training step (its pixel side and regularizers, or
+    Adam's chunks).  With more than one worker, the calling thread runs
+    the first item, and it and workers - 1 threads of the module's one
+    block pool take the other item indices from one shared counter, so
+    the caller does a share of the work instead of waiting on the pool.
+    With one item or one worker, the caller runs every item and the pool
+    is not touched.  Once the counter is drained, shares no pool thread
+    has started are cancelled and only running ones are waited for, so
+    a call made from inside a share, on the caller or on a pool thread,
+    never waits on a pool that is busy running it.  When any share
+    raises, no further item starts; the call waits for the shares still
+    running and re-raises.  No item runs after the call returns.
 
-    Each thread that runs blocks keeps the workspace buffers its blocks
-    grew after the call returns (up to 7.1 MB for a training backward
-    on rows at most CHUNK_PIXELS wide; a wider row is a block of its
-    own width, see the module docstring), so the pool's memory grows
-    with workers.  The pool runs at most POOL_THREADS_PER_CPU *
+    Each thread that runs row blocks keeps the workspace buffers its
+    blocks grew after the call returns (up to 7.1 MB for a training
+    backward on rows at most CHUNK_PIXELS wide; a wider row is a block
+    of its own width, see the module docstring), so the pool's memory
+    grows with workers.  The pool runs at most POOL_THREADS_PER_CPU *
     usable_cpus() threads whatever workers is; shares beyond that queue,
     and the results are the same bits.
     workers must be an integer >= 1; every transform entry checks it

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from nulut.lattice import Lattice, coordinates_from_logits, identity_lut
-from nulut.transform import transform_pixel
+from nulut.transform import _base_index, _blend, _locate, _weight_pairs, transform_pixel
 
 
 @pytest.fixture
@@ -32,6 +32,18 @@ def transform_loop(img, lattice):
         for c in range(img.shape[2]):
             out[:, r, c] = transform_pixel(img[:, r, c], lattice)
     return out
+
+
+def transform_block(pix, coords, values):
+    """Transform pixel columns (3, p) against raw, unvalidated lattice arrays.
+
+    The finite-difference tests perturb the pinned end knots, which
+    Lattice would reject, so this runs the library's float-route cell
+    location and blend on the arrays themselves.
+    """
+    n = coords.shape[1]
+    e0, xd = _locate(coords, pix)
+    return _blend(values.reshape(3, n * n * n), n, _base_index(e0, n), _weight_pairs(xd))
 
 
 def queries_off_knots(rng, coords, count, margin=1e-3):

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 
-from conftest import queries_off_knots, random_lattice, transform_loop
+from conftest import queries_off_knots, random_lattice, transform_block, transform_loop
 
 from nulut.analysis import accumulative_error_histogram, error_map, psnr
 from nulut.lattice import (
@@ -33,7 +33,6 @@ from nulut.training import (
     train_predictor,
 )
 from nulut.transform import (
-    _transform_block,
     backward_pixel,
     lookup_with_count,
     transform_image,
@@ -93,7 +92,7 @@ class TestCriterion1GradientCorrectness:
                 grads = backward_pixel(x, lattice, grad_out)
 
                 def forward(coords_, values_, x_):
-                    out = _transform_block(x_.reshape(3, 1), coords_, values_)
+                    out = transform_block(x_.reshape(3, 1), coords_, values_)
                     return float(grad_out @ out[:, 0])
 
                 def track(analytic, fd):
@@ -152,7 +151,7 @@ class TestCriterion2InterpolationExactness:
             values = np.einsum("cd,dijk->cijk", matrix, grid) + offset[:, None, None, None]
             lattice = Lattice(coords, values)
             queries = rng.random((1000, 3))
-            out = _transform_block(queries.T.copy(), coords, values)
+            out = transform_block(queries.T.copy(), coords, values)
             expected = matrix @ queries.T + offset[:, None]
             worst_affine = max(worst_affine, float(np.abs(out - expected).max()))
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import queries_off_knots, random_lattice
+from conftest import queries_off_knots, random_lattice, transform_block
 
 from nulut.lattice import (
     Lattice,
@@ -23,7 +23,6 @@ from nulut.training import (
     smoothness_loss_grad,
 )
 from nulut.transform import (
-    _transform_block,
     backward_pixel,
     transform_image,
     transform_vjp,
@@ -35,7 +34,7 @@ FD_STEP = 1e-6
 
 def directional(grad_out, coords, values, x):
     """Scalar objective grad_out . transform(x) on raw lattice arrays."""
-    out = _transform_block(np.asarray(x, dtype=float).reshape(3, 1), coords, values)
+    out = transform_block(np.asarray(x, dtype=float).reshape(3, 1), coords, values)
     return float(grad_out @ out[:, 0])
 
 
@@ -130,7 +129,7 @@ class TestTransformWithGrads:
         out, batched = transform_with_grads(
             x.reshape(3, 1, 1), grad_out.reshape(3, 1, 1), lattice
         )
-        assert np.array_equal(out[:, 0, 0], _transform_block(
+        assert np.array_equal(out[:, 0, 0], transform_block(
             x.reshape(3, 1), lattice.coords, lattice.values)[:, 0])
         assert np.array_equal(single.grad_values, batched.grad_values)
         assert np.array_equal(single.grad_coords, batched.grad_coords)

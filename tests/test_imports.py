@@ -106,13 +106,12 @@ def test_checker_finds_unused_imports():
     ]
 
 
-def unused_private_definitions(sources, exempt=()):
+def unused_private_definitions(sources):
     """Module-level _name functions and classes nothing reads, as readable strings.
 
     sources maps file names to their text.  A definition counts as used
     when its name is read, as a name or an attribute, anywhere in
-    sources outside its own body.  Dunder names and names in exempt are
-    skipped.
+    sources outside its own body.  Dunder names are skipped.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     reads = [(node, node.id if isinstance(node, ast.Name) else node.attr)
@@ -122,8 +121,7 @@ def unused_private_definitions(sources, exempt=()):
     for name, tree in trees.items():
         for definition in tree.body:
             if (not isinstance(definition, (ast.FunctionDef, ast.ClassDef))
-                    or not definition.name.startswith("_") or definition.name.endswith("__")
-                    or definition.name in exempt):
+                    or not definition.name.startswith("_") or definition.name.endswith("__")):
                 continue
             inside = {id(node) for node in ast.walk(definition)}
             if not any(read == definition.name and id(node) not in inside
@@ -134,8 +132,7 @@ def unused_private_definitions(sources, exempt=()):
 
 def test_no_private_definition_goes_unused():
     sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(SRC.glob("*.py"))}
-    # the finite-difference tests call _transform_block on raw, unvalidated arrays
-    assert unused_private_definitions(sources, exempt={"_transform_block"}) == []
+    assert unused_private_definitions(sources) == []
 
 
 def test_checker_finds_unused_private_definitions():
@@ -154,8 +151,6 @@ def test_checker_finds_unused_private_definitions():
             "    raise AttributeError(name)\n"
             "def _by_attribute():\n"
             "    pass\n"
-            "def _skipped():\n"
-            "    pass\n"
             "KEPT = _Instantiated()\n"
             "def public():\n"
             "    return _called()\n"
@@ -166,7 +161,7 @@ def test_checker_finds_unused_private_definitions():
             "    return a._by_attribute()\n"
         ),
     }
-    assert unused_private_definitions(sources, exempt={"_skipped"}) == [
+    assert unused_private_definitions(sources) == [
         "a.py line 3: _recursive is never used",
         "a.py line 7: _Orphan is never used",
         "b.py line 2: _helper is never used",

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import threading
 
 import numpy as np
@@ -16,7 +17,7 @@ from nulut.lutio import (
     load_lattice,
     save_lattice,
 )
-from nulut.predictor import PARAM_ARRAYS, init_params
+from nulut.predictor import PARAM_ARRAYS, PredictorParams, init_params, param_shapes
 from nulut import transform
 from nulut.transform import CHUNK_PIXELS, transform_image, transform_pixel
 
@@ -201,6 +202,39 @@ class TestHeaderSizes:
         with pytest.raises(LutFormatError) as info:
             load_checkpoint(path)
         assert str(info.value) == message
+
+
+class TestCheckpointBytes:
+    """save_lattice's exact text, pinned to a file the earlier NumPy-scalar writer made."""
+
+    SPECIALS = [-0.0, 1e-300, 5e-324, 0.1, 1 / 3, -2.5e-310, 1.0, 123456.789, -1 / 7, -1e300]
+    SHA256 = "243819a74067e3059086c3b522e28f10adfb2f5dd5a655cee4ddede5c79b83eb"
+
+    def test_bytes_are_pinned(self, tmp_path):
+        shapes = param_shapes(3, 1, True)
+        predictor = PredictorParams(
+            **{name: np.resize(self.SPECIALS, shape) for name, shape in shapes.items()},
+            n_s=3, m=1, shared=True)
+        lattice = Lattice(np.tile([0.0, 1 / 3, 1.0], (3, 1)),
+                          np.resize(self.SPECIALS, (3, 3, 3, 3)))
+        path = tmp_path / "pinned.nulut"
+        save_lattice(lattice, path, predictor)
+        data = path.read_bytes()
+        assert data.splitlines()[:10] == [
+            b"NULUT3D 1",
+            b"size 3",
+            b"coords r 0 0.33333333333333331 1",
+            b"coords g 0 0.33333333333333331 1",
+            b"coords b 0 0.33333333333333331 1",
+            b"values",
+            b"-0 1e-300 4.9406564584124654e-324",
+            b"0.10000000000000001 0.33333333333333331 -2.5000000000000171e-310",
+            b"1 123456.789 -0.14285714285714285",
+            b"-1.0000000000000001e+300 -0 1e-300",
+        ]
+        assert b"\npredictor 102 1 1\ng_weights\n-0 1e-300\n" in data
+        assert len(data) == 8814
+        assert hashlib.sha256(data).hexdigest() == self.SHA256
 
 
 class TestPredictorCheckpoint:

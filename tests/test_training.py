@@ -455,7 +455,51 @@ class TestChunkedAdam:
             assert state.v["a"].tobytes() == ref_state.v["a"].tobytes()
             assert state.t == ref_state.t == {"a": step}
         # the chunk buffers are sized by the parameter, not by the (1,) gradient
-        assert buffers == [(2, CHUNK_PIXELS)] * 3
+        assert buffers and all(len(shape) == 2 and shape[0] == 2 and shape[1] <= CHUNK_PIXELS
+                               for shape in buffers)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_bytes_do_not_depend_on_cpus(self, rng, monkeypatch, cpus):
+        size = 2 * CHUNK_PIXELS + 7
+        start = {"multi": rng.normal(size=size), "bcast": rng.normal(size=(5, 9)),
+                 "scaled": rng.normal(size=(3, 4)), "frozen": rng.normal(size=6)}
+        steps = [{"multi": rng.normal(size=size), "bcast": rng.normal(size=(1,)),
+                  "scaled": rng.normal(size=(3, 4))} for _ in range(3)]
+        lr_scales = {"scaled": 0.1, "frozen": 0.5}
+
+        def run():
+            params, state = {name: p.copy() for name, p in start.items()}, AdamState()
+            for grads in steps:
+                adam_step(params, grads, state, TrainConfig(learning_rate=3e-3), lr_scales)
+            return ({name: p.tobytes() for name, p in params.items()},
+                    {name: (state.m[name].tobytes(), state.v[name].tobytes(), state.t[name])
+                     for name in state.t})
+
+        monkeypatch.setattr(transform, "usable_cpus", lambda: 1)
+        serial = run()
+        monkeypatch.setattr(transform, "usable_cpus", lambda: cpus)
+        assert run() == serial
+        # the parameter absent from every step's grads is untouched, with no moments
+        assert serial[0]["frozen"] == start["frozen"].tobytes()
+        assert set(serial[1]) == {"multi", "bcast", "scaled"}
+
+    def test_refusal_at_two_cpus_moves_nothing(self, rng, monkeypatch):
+        monkeypatch.setattr(transform, "usable_cpus", lambda: 2)
+        size = 2 * CHUNK_PIXELS + 7
+        params = {"a": rng.normal(size=size), "b": rng.normal(size=size)}
+        state = AdamState()
+        adam_step(params, {"a": rng.normal(size=size), "b": rng.normal(size=size)},
+                  state, TrainConfig())
+        kept = ({name: p.tobytes() for name, p in params.items()},
+                {name: (state.m[name].tobytes(), state.v[name].tobytes(), state.t[name])
+                 for name in state.t})
+        bad = rng.normal(size=size)
+        bad[-1] = np.nan  # in the last chunk, after the other chunk jobs would have moved
+        with pytest.raises(TrainingDivergedError, match="non-finite gradient for 'b'"):
+            adam_step(params, {"a": rng.normal(size=size), "b": bad}, state, TrainConfig())
+        assert ({name: p.tobytes() for name, p in params.items()},
+                {name: (state.m[name].tobytes(), state.v[name].tobytes(), state.t[name])
+                 for name in state.t}) == kept
 
 
 class TestFitDirect:
@@ -799,11 +843,11 @@ class TestTrainPredictorBasics:
 
 
 class TestStepJobs:
-    """A step runs in order on its caller; no result depends on the CPU count."""
+    """A step is one job list on map_blocks; no result depends on the CPU count."""
 
     @staticmethod
     def float_pairs(rng, count):
-        # 64 x 64 pixels are one row block, so a step runs on the caller alone
+        # 64 x 64 pixels are one row block, so the transform runs on the caller alone
         assert len(transform.row_blocks(64, 64)) == 1
         images = [rng.random((3, 64, 64)) for _ in range(count)]
         return [ImagePair(img, img**0.6) for img in images]
@@ -834,25 +878,48 @@ class TestStepJobs:
         assert runs[0] == runs[1] == runs[2]
 
     @pytest.mark.parametrize("shape,blocks", [((64, 64), 1), ((100, 300), 2)])
-    def test_step_functions_run_on_the_calling_thread(self, rng, monkeypatch, shape, blocks):
-        threads = {}
+    def test_step_hands_map_blocks_three_jobs_pixel_side_first(self, rng, monkeypatch, shape,
+                                                               blocks):
+        calls, seen = [], []  # (item count, workers) per call; (function, call, item, thread)
+        current = threading.local()
+        map_blocks = transform.map_blocks
+
+        def spied_map_blocks(run, items, workers):
+            call = len(calls)
+            calls.append((len(items), workers))
+
+            def tagged(i):
+                outer = getattr(current, "job", None)
+                current.job = (call, i)
+                try:
+                    return run(items[i])
+                finally:
+                    current.job = outer
+            return map_blocks(tagged, list(range(len(items))), workers)
 
         def spy(function):
             def spied(*args, **kwargs):
-                threads.setdefault(function.__name__, set()).add(threading.get_ident())
+                seen.append((function.__name__, *getattr(current, "job", (None, None)),
+                             threading.get_ident()))
                 return function(*args, **kwargs)
             monkeypatch.setattr(training, function.__name__, spied)
 
         img = rng.random((3, *shape))
         assert len(transform.row_blocks(*shape)) == blocks
         monkeypatch.setattr(transform, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(transform, "map_blocks", spied_map_blocks)
         for function in (transform_vjp, smoothness_loss_grad, monotonicity_loss_grad):
             spy(function)
         config = TrainConfig(learning_rate=1e-2, epochs=2, freeze_interval_epochs=0)
         fit_direct([ImagePair(img, img**0.6)], 5, config)
-        caller = {threading.get_ident()}
-        assert threads == {"transform_vjp": caller, "smoothness_loss_grad": caller,
-                           "monotonicity_loss_grad": caller}
+        jobs = {"transform_vjp": 0, "smoothness_loss_grad": 1, "monotonicity_loss_grad": 2}
+        assert sorted(name for name, *_ in seen) == sorted(list(jobs) * 2)
+        for name, call, item, thread in seen:
+            # each step function runs in its own job of a three-job list on 2 workers
+            assert calls[call] == (3, 2) and item == jobs[name], name
+            if name == "transform_vjp":
+                assert thread == threading.get_ident()
+        assert calls.count((3, 2)) == 2
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_regularizer_error_reaches_the_caller(self, rng, monkeypatch, cpus):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import random_lattice, transform_loop
+from conftest import random_lattice, transform_block, transform_loop
 
 from nulut.lattice import (
     MIN_INTERVAL,
@@ -23,7 +23,6 @@ from nulut.transform import (
     POOL_THREAD_NAME,
     backward_pixel,
     map_blocks,
-    _transform_block,
     lookup,
     lookup_with_count,
     row_blocks,
@@ -187,7 +186,7 @@ class TestTransformImage:
         lattice = random_lattice(rng, 5)
         samples = rng.integers(0, 256, size=(3, 5, width), dtype=np.uint8)
         img = samples / 255
-        whole = _transform_block(img.reshape(3, -1), lattice.coords, lattice.values)
+        whole = transform_block(img.reshape(3, -1), lattice.coords, lattice.values)
         for workers in (1, 2):
             out = transform_image(img, lattice, workers=workers)
             assert out.tobytes() == whole.reshape(img.shape).tobytes()
