@@ -37,28 +37,31 @@ def test_pairs_alternate_share_seeds_and_summarize(tmp_path):
     change = stub_checkout(tmp_path / "change", log, 0.4)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main([str(parent), str(change), "--workload", "train-n33",
-                             "--pairs", "3", "--seconds", "2", "--first-seed", "70",
+                             "--workload", "fit-256", "--pairs", "3", "--seconds", "2",
                              "--out", str(out)]) == 0
     runs = [line.split() for line in log.read_text().splitlines()]
-    assert [(run[0], run[run.index("--seed") + 1]) for run in runs] == [
-        ("parent", "70"), ("change", "70"),
-        ("change", "71"), ("parent", "71"),
-        ("parent", "72"), ("change", "72"),
-    ]
+    sides_seeds = [("parent", "1"), ("change", "1"),
+                   ("change", "2"), ("parent", "2"),
+                   ("parent", "3"), ("change", "3")]
+    assert [(run[0], run[run.index("--seed") + 1]) for run in runs] == sides_seeds * 2
+    assert [run[1:3] for run in runs] == (
+        [["--workload", "train-n33"]] * 6 + [["--workload", "fit-256"]] * 6)
     for run in runs:
-        assert run[1:3] == ["--workload", "train-n33"]
         assert run[run.index("--seconds") + 1] == "2.0"
         assert run[run.index("--trace") + 1] == "0"
     report = json.loads(out.read_text())
     assert set(report["host"]) >= {"nproc", "python", "numpy"}
-    assert [(pair["seed"], pair["first"]) for pair in report["pairs"]] == [
-        (70, "parent"), (71, "change"), (72, "parent")]
-    assert report["pairs"][0]["change"] == {
-        "metrics": {"op_s_p50": 0.4, "psnr_db": 33.0}, "attempted": 5, "failed": 0}
-    assert report["summary"]["op_s_p50"] == {
-        "parent_median": 0.5, "change_median": 0.4, "parent_quartiles": [0.5, 0.5],
-        "change_lower": "3 of 3"}
-    assert report["summary"]["psnr_db"]["change_lower"] == "0 of 3"
+    assert report["commits"] == {"parent": None, "change": None}  # stubs are not git checkouts
+    assert list(report["workloads"]) == ["train-n33", "fit-256"]
+    for result in report["workloads"].values():
+        assert [(pair["seed"], pair["first"]) for pair in result["pairs"]] == [
+            (1, "parent"), (2, "change"), (3, "parent")]
+        assert result["pairs"][0]["change"] == {
+            "metrics": {"op_s_p50": 0.4, "psnr_db": 33.0}, "attempted": 5, "failed": 0}
+        assert result["summary"]["op_s_p50"] == {
+            "parent_median": 0.5, "change_median": 0.4, "parent_quartiles": [0.5, 0.5],
+            "change_lower": "3 of 3"}
+        assert result["summary"]["psnr_db"]["change_lower"] == "0 of 3"
 
 
 @pytest.mark.parametrize("last_line,exit_code", [

@@ -1,20 +1,23 @@
 """Run perfbench on two checkouts in alternating pairs and compare them.
 
-    python tools/bench_pairs.py PARENT CHANGE --workload W --pairs N
-        [--seconds S] [--first-seed K] --out FILE
+    python tools/bench_pairs.py PARENT CHANGE --workload W [--workload W2 ...]
+        --pairs N [--seconds S] --out FILE
 
-PARENT and CHANGE are the roots of two nulut checkouts.  Pair i runs
+PARENT and CHANGE are the roots of two nulut checkouts.  For each
+workload W in the order given, pair i (seed i, from 1 to N) runs
 
-    perfbench/run.py --workload W --seed K+i --seconds S --trace 0
+    perfbench/run.py --workload W --seed i --seconds S --trace 0
 
 in each checkout, one after the other, with the same seed on both
 sides; the parent runs first in the first pair, the change in the
 second, and so on, so drift on the host falls on both sides alike.  Each run's last
 stdout line is read as perfbench's JSON result.  FILE gets the host
-(nproc, Python, NumPy), every pair's end-to-end metrics per side, and
-per metric the medians, the parent's quartiles and how many pairs read
-lower on the change.  Exits 2, writing no FILE, when a run exits
-non-zero or its last line is not a JSON result.
+(nproc, Python, NumPy), each side's commit (`git describe --always
+--dirty` in its root, or null outside git) and, per workload, every
+pair's end-to-end metrics per side and per metric the medians, the
+parent's quartiles and how many pairs read lower on the change.  Exits
+2, writing no FILE, when a run exits non-zero or its last line is not a
+JSON result.
 """
 
 from __future__ import annotations
@@ -88,43 +91,52 @@ def host():
             "machine": platform.machine()}
 
 
+def commit(root):
+    """`git describe --always --dirty` of the checkout at root, or None outside git."""
+    done = subprocess.run(["git", "describe", "--always", "--dirty", "--abbrev=40"],
+                          cwd=root, capture_output=True, text=True)
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=25.0)
-    parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--out", required=True)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     roots = {"parent": args.parent, "change": args.change}
-    pairs = []
-    for i in range(args.pairs):
-        seed = args.first_seed + i
-        order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {"seed": seed, "first": order[0]}
-        for side in order:
-            try:
-                pair[side] = run_side(roots[side], args.workload, seed, args.seconds)
-            except RunFailed as err:
-                print(f"bench_pairs: {side} run failed: {err}", file=sys.stderr)
-                return 2
-        pairs.append(pair)
-        print(f"pair {i + 1}/{args.pairs} seed {seed}: " + "  ".join(
-            f"{side} op_s_p50 {pair[side]['metrics'].get('op_s_p50')}" for side in SIDES),
-            flush=True)
-    report = {"workload": args.workload, "seconds": args.seconds, "host": host(),
-              "parent": os.path.abspath(args.parent), "change": os.path.abspath(args.change),
-              "pairs": pairs, "summary": summarize(pairs)}
+    commits = {side: commit(root) for side, root in roots.items()}
+    workloads = {}
+    for workload in args.workload:
+        pairs = []
+        for seed in range(1, args.pairs + 1):
+            order = SIDES if seed % 2 else SIDES[::-1]
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                try:
+                    pair[side] = run_side(roots[side], workload, seed, args.seconds)
+                except RunFailed as err:
+                    print(f"bench_pairs: {side} run failed: {err}", file=sys.stderr)
+                    return 2
+            pairs.append(pair)
+            print(f"{workload} pair {seed}/{args.pairs}: " + "  ".join(
+                f"{side} op_s_p50 {pair[side]['metrics'].get('op_s_p50')}" for side in SIDES),
+                flush=True)
+        workloads[workload] = {"pairs": pairs, "summary": summarize(pairs)}
+    report = {"seconds": args.seconds, "host": host(),
+              "commits": commits, "workloads": workloads}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
-    for name, entry in report["summary"].items():
-        print(f"{name:14} parent {entry['parent_median']:.6g}  change "
-              f"{entry['change_median']:.6g}  change lower in {entry['change_lower']}")
+    for workload, result in workloads.items():
+        for name, entry in result["summary"].items():
+            print(f"{workload} {name:14} parent {entry['parent_median']:.6g}  change "
+                  f"{entry['change_median']:.6g}  change lower in {entry['change_lower']}")
     return 0
 
 
