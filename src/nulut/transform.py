@@ -431,7 +431,9 @@ def map_blocks(run, blocks, workers):
     is not touched.  Once the counter is drained, shares no pool thread
     has started are cancelled and only running ones are waited for, so
     a call made from inside a share, on the caller or on a pool thread,
-    never waits on a pool that is busy running it.  When any share
+    never waits on a pool that is busy running it; a cancelled share
+    stays queued until a pool thread is free, but holds on to none of
+    the call's items or results.  When any share
     raises, no further item starts; the call waits for the shares still
     running and re-raises.  No item runs after the call returns.
 
@@ -480,9 +482,12 @@ def map_blocks(run, blocks, workers):
         # dequeues it, so only the shares that did start are waited for
         started = [future for future in futures if not future.cancel()]
         wait(started)
+        # a cancelled share stays queued until a pool thread dequeues it, so
+        # its closure must not keep this call's items and results alive
+        done, run, blocks, results = results, None, None, None
     for future in started:
         future.result()
-    return results
+    return done
 
 
 def _route(img, lattice: Lattice, maxval):

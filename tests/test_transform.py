@@ -3,6 +3,7 @@ import sys
 import threading
 import time
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -444,6 +445,20 @@ class TestBlockPool:
         thread.join(timeout=30)
         assert not thread.is_alive()
         assert results["outer"] == [None, [1, 2, 3, 4]]
+
+    def test_a_share_queued_behind_a_busy_pool_keeps_nothing_alive(self, fresh_pool):
+        release = threading.Event()
+        transform._POOL.submit(lambda: release.wait(timeout=30), 1)  # the pool's only thread
+        try:
+            blocks = [np.full(1000, b, dtype=float) for b in range(3)]
+            results = map_blocks(lambda block: block * 2, blocks, 2)
+            # the caller drained every block; the pool thread never started its share
+            assert [r[0] for r in results] == [0, 2, 4]
+            kept = [weakref.ref(a) for a in blocks + results]
+            del blocks, results
+            assert [ref() for ref in kept] == [None] * 6
+        finally:
+            release.set()
 
     def test_every_block_runs_once_under_contention(self, fresh_pool):
         runs = [0] * 500
