@@ -15,6 +15,7 @@ from .transform import (
     backward_pixel,
     lookup,
     lookup_with_count,
+    mse_vjp,
     transform_image,
     transform_pixel,
     transform_vjp,

@@ -8,13 +8,15 @@ for a warmup period and afterwards trained at a decayed learning rate,
 which keeps the knot layout stable while the table values settle.
 
 A step is one list of independent jobs on transform.map_blocks, run on
-every usable CPU: the pixel side (the transform, whose row blocks fan
-out from the caller, the reconstruction loss and the backward) and the
-two regularizers on the table.  Adam then works through the parameters
-in cache-sized chunks, in place, one map_blocks job per chunk.  Each job
-only reads what the step shares and writes what it owns, and results
-are combined on the caller in code order, so no bit of the results
-depends on the CPU count.
+every usable CPU: the pixel side and the two regularizers on the table.
+The pixel side is transform.mse_vjp, one pass whose row blocks fan out
+from the caller: each block's cells are found once, then blended,
+compared with the target and run backward, so the step holds no
+full-frame prediction, error or input gradient.  Adam then works
+through the parameters in cache-sized chunks, in place, one map_blocks
+job per chunk.  Each job only reads what the step shares and writes
+what it owns, and results are combined on the caller in code order, so
+no bit of the results depends on the CPU count.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ from .predictor import (
     predict_weights,
 )
 # perfbench's tracer rebinds transform_image and transform_with_grads here by name
-from .transform import transform_image, transform_vjp, transform_with_grads  # noqa: F401
-from .transform import validate_image, validate_samples
+from .transform import transform_image, transform_with_grads  # noqa: F401
+from .transform import mse_vjp, validate_image, validate_samples
 
 
 class TrainingDivergedError(RuntimeError):
@@ -334,8 +336,10 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
 
     q is the softmax output the lattice's coordinates were built from.
     The step is one list of three jobs on transform.map_blocks, run on
-    every usable CPU: the pixel side (the transform, the reconstruction
-    loss and the backward), then smoothness_loss_grad and
+    every usable CPU: the pixel side, mse_vjp, whose one pass over the
+    row blocks gives the reconstruction loss and its table and knot
+    gradients with the bits of transform_vjp, reconstruction_loss_grad
+    and the backward, then smoothness_loss_grad and
     monotonicity_loss_grad on the table.  map_blocks runs the pixel side
     on the caller, so its own row blocks still fan out from there; with
     one usable CPU every job runs in order on the caller.  Each job only
@@ -345,26 +349,19 @@ def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossW
     """
     workers = transform.usable_cpus()
 
-    def pixel_side():
-        pred, backward = transform_vjp(pair.input, lattice, workers, maxval=pair.maxval)
-        l_r, g_pred = reconstruction_loss_grad(pred, pair.target)
-        # the prediction is not kept, so the backward below can reuse its memory
-        del pred
-        return l_r, backward(g_pred)
-
     # the step functions are read from the module's globals when each job runs
-    jobs = [pixel_side, lambda: smoothness_loss_grad(lattice.values),
+    jobs = [lambda: mse_vjp(pair.input, pair.target, lattice, workers, maxval=pair.maxval),
+            lambda: smoothness_loss_grad(lattice.values),
             lambda: monotonicity_loss_grad(lattice.values)]
-    (l_r, lat_grads), (l_s, g_s), (l_m, g_m) = transform.map_blocks(
+    (l_r, g_table, g_coords), (l_s, g_s), (l_m, g_m) = transform.map_blocks(
         lambda job: job(), jobs, workers)
     loss = l_r + weights.lambda_s * l_s + weights.lambda_m * l_m
     # (grad_values + lambda_s*g_s) + lambda_m*g_m, written into arrays this step owns
-    g_table = lat_grads.grad_values
     g_s *= weights.lambda_s
     g_table += g_s
     g_m *= weights.lambda_m
     g_table += g_m
-    g_logits = coordinate_logit_vjp(q, lat_grads.grad_coords)
+    g_logits = coordinate_logit_vjp(q, g_coords)
     return (loss, l_r, l_s, l_m), g_table, g_logits
 
 

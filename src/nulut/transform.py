@@ -20,22 +20,27 @@ backward gathers it by e0 from widths computed once per call.  Each
 call decides its route once, in _route: it validates the input, builds
 the level tables on the level route, and gives every row block one
 step, cells, which finds the block's cells from its input rows.  One
-blend core and one backward core run on those for transform_vjp and
-backward_pixel, which is transform_vjp on a 1x1 image; transform_image
-is transform_vjp's forward.  The blend and the backward's table pass
-walk one corner sequence, _corners, which forms each corner's flat
-indices and trilinear weight and gathers its values, so the weights the
-backward scatters with are the forward's own bits.  The backward
-returns analytic gradients of the output with respect to the table
-values, the sampling coordinates, and the input colors, so the whole
-lattice, knot positions included, can be fitted by gradient descent.  transform_vjp is the training
-step's single pass, with one lifecycle on both routes: its forward
-finds each block's cells and blends them, and keeps nothing; its
-backward finds each block's cells again from the same rows (the float
-route by binary search, the level route from the tables) and computes
-every gradient from them.  Finding cells is pure, so both passes see
-the same bits.  The backward dots the output gradient with each
-corner's three channels once, then chains that sum along each axis.
+blend core and one backward core run on those for transform_vjp,
+backward_pixel (transform_vjp on a 1x1 image) and mse_vjp;
+transform_image is transform_vjp's forward.  The blend and the
+backward's table pass walk one corner sequence, _corners, which forms
+each corner's flat indices and trilinear weight and gathers its values,
+so the weights the backward scatters with are the forward's own bits.
+The backward returns analytic gradients of the output with respect to
+the table values, the sampling coordinates, and the input colors, so
+the whole lattice, knot positions included, can be fitted by gradient
+descent.  It dots the output gradient with each corner's three channels
+once, then chains that sum along each axis.
+
+transform_vjp is the general VJP: its forward finds each block's cells
+and blends them, and keeps nothing; its backward finds each block's
+cells again from the same rows (the float route by binary search, the
+level route from the tables).  Finding cells is pure, so both passes
+see the same bits.  mse_vjp is the training step's pass, for the mean
+squared error against a target: each block's job finds its cells once
+and runs the blend, the error and its gradient, and the backward on
+them, so it holds no full-frame prediction, error or input gradient,
+only the squared errors the mean is taken over.
 
 Per-pixel work is independent, so images are processed in row blocks.
 One grid, row_blocks, serves the forward transform, the training pass
@@ -60,7 +65,7 @@ returned array views a workspace.  The price is memory kept between
 calls: every thread that has run blocks, the callers included, holds
 its workspace for as long as it lives, about 104 bytes per block pixel
 after a float apply, 128 after a quantized one, 192 after a float
-training backward and 216 after a quantized one; at CHUNK_PIXELS that
+backward or mse_vjp and 216 after a quantized one; at CHUNK_PIXELS that
 is 3.4, 4.2, 6.3 and 7.1 MB per thread.  Those figures hold for images
 whose rows are at most CHUNK_PIXELS wide: a block is never smaller than
 one row, so a wider row of w pixels is a block of w pixels, and the
@@ -247,10 +252,12 @@ def _scratch(slot, shape, dtype=np.float64):
 def _rows(a, r0, r1):
     """Rows r0:r1 of a (3, h, w) array as (3, p) pixel columns.
 
-    A view whenever a is C-contiguous, so writing the columns writes a;
-    the one array written this way, the backward's grad_input, is
-    allocated C-ordered.  Other arrays may follow the input's layout,
-    and their rows come back as copies, which are only ever read.
+    A view whenever a's row stride is its width times its column stride,
+    as in a C-ordered array and in the channel-last (h, w, 3) memory
+    read_ppm returns, so writing the columns writes a; the one array
+    written this way, transform_vjp's grad_input, is allocated
+    C-ordered.  In other layouts the rows come back as copies, which
+    are only ever read.
     """
     return a[:, r0:r1, :].reshape(3, -1)
 
@@ -568,7 +575,9 @@ def _backward_block(base, pairs, e0, gout, flat, widths, grad_input):
 
     base, pairs and e0 are the block's cells as _route's cells returns
     them; widths (3, n - 1) are the lattice's cell widths, gathered by
-    e0.  The input gradient is written into grad_input (3, p); returns
+    e0.  The input gradient is written into grad_input (3, p), which may
+    be gout itself: gout is read only before grad_input is first
+    written.  Returns
     (grad_values_flat (3, n^3), grad_coords (3, n)), both newly
     allocated.  Every other temporary lives in the thread's workspace.
     The table pass walks the corners _blend walks, through _corners, and
@@ -681,19 +690,85 @@ def transform_vjp(img, lattice: Lattice, workers: int = 1, *, maxval: int | None
             return _backward_block(*cells(r0, r1), _rows(g, r0, r1), flat, widths,
                                    _rows(grad_input, r0, r1))
 
-        parts = map_blocks(run, blocks, workers)
-        # each block's table gradient is a sum started from zeros, so it holds
-        # no -0.0 and starting from the first block's gives the bits that
-        # starting from zeros would; the knot gradients are negated, so not theirs
-        grad_values = parts[0][0]
-        for gv, _ in parts[1:]:
-            grad_values += gv
-        grad_coords = np.zeros((3, n))
-        for _, gc in parts:
-            grad_coords += gc
-        return LatticeGradients(grad_values.reshape(3, n, n, n), grad_coords, grad_input)
+        grad_values, grad_coords = _sum_blocks(map_blocks(run, blocks, workers), n)
+        return LatticeGradients(grad_values, grad_coords, grad_input)
 
     return out, backward
+
+
+def _sum_blocks(parts, n):
+    """The per-block (grad_values_flat, grad_coords) of _backward_block, summed
+    in block order: (grad_values (3, n, n, n), grad_coords (3, n))."""
+    # each block's table gradient is a sum started from zeros, so it holds
+    # no -0.0 and starting from the first block's gives the bits that
+    # starting from zeros would; the knot gradients are negated, so not theirs
+    grad_values = parts[0][0]
+    for gv, _ in parts[1:]:
+        grad_values += gv
+    grad_coords = np.zeros((3, n))
+    for _, gc in parts:
+        grad_coords += gc
+    return grad_values.reshape(3, n, n, n), grad_coords
+
+
+def _difference_like(a, t):
+    """An empty float64 frame laid out as NumPy lays out a float copy of a minus t.
+
+    NumPy orders a result's axes by its operands' strides, C order
+    winning where they disagree, so a 2x2 corner of each channel shows
+    the order, and the frame is allocated in it.  The mean of a frame
+    sums in memory order, so this layout keeps those bits.
+    """
+    corner = np.empty_like(a[:, :2, :2], dtype=np.float64) - t[:, :2, :2]
+    order = np.argsort([-s for s in corner.strides], kind="stable")  # outermost axis first
+    return np.empty([a.shape[axis] for axis in order]).transpose(np.argsort(order))
+
+
+def mse_vjp(img, target, lattice: Lattice, workers: int = 1, *, maxval: int | None = None):
+    """Mean squared error of the transformed image against target, and its gradients.
+
+    Returns (loss, grad_values, grad_coords): the error over all 3*h*w
+    entries and its gradients w.r.t. the table values (3, n, n, n) and
+    the sampling coordinates (3, n).  img is read as transform_image
+    reads it; target must have its shape and finite values.  The bits
+    are those of transform_vjp's forward, reconstruction_loss_grad and
+    the backward, at any worker count.
+
+    It is one map_blocks pass: each row block's job finds its cells
+    once, blends them, subtracts the target's rows in place, writes the
+    squares into its rows of one frame, scales the difference into the
+    output gradient in place, and runs the backward on the same cells,
+    writing the input gradient over the difference.  So the call holds
+    no full-frame prediction, difference or input gradient; the
+    squares' frame is laid out as the prediction minus the target
+    would be, so its mean sums in the same order.
+    """
+    a, cells = _route(img, lattice, maxval)
+    t = np.asarray(target, dtype=np.float64)
+    if t.shape != a.shape:
+        raise ValueError(f"target shape {t.shape} does not match image {a.shape}")
+    check_finite("target values", t)
+    n = lattice.n_s
+    flat = lattice.values.reshape(3, n * n * n)
+    widths = np.diff(lattice.coords, axis=1)
+    h, w = a.shape[1], a.shape[2]
+    sq = _difference_like(a, t)
+
+    def run(block):
+        r0, r1 = block
+        base, pairs, e0 = cells(r0, r1)
+        # reconstruction_loss_grad's operations, on this block's rows
+        d = _blend(flat, n, base, pairs)
+        d -= _rows(t, r0, r1)
+        rows = d.reshape(3, r1 - r0, w)
+        np.multiply(rows, rows, out=sq[:, r0:r1, :])
+        d *= 2.0
+        d /= sq.size
+        # the input gradient, which nothing reads, overwrites d once d is read
+        return _backward_block(base, pairs, e0, d, flat, widths, d)
+
+    grad_values, grad_coords = _sum_blocks(map_blocks(run, row_blocks(h, w), workers), n)
+    return float(np.mean(sq)), grad_values, grad_coords
 
 
 def transform_with_grads(

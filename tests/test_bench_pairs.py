@@ -13,18 +13,26 @@ bench_pairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_pairs)
 
 
-def stub_checkout(root, log, op_s, last_line=None, exit_code=0):
-    """A checkout whose perfbench/run.py logs its side and arguments and prints fixed JSON."""
+def stub_checkout(root, log, op_s, last_line=None, exit_code=0, scores=(33.0, 33.5, 34.0),
+                  records=True):
+    """A checkout whose perfbench/run.py logs its side and arguments, writes records
+    whose item i scored scores[i], names them as perfbench does, and prints fixed JSON."""
     result = {"correct": True, "attempted": 5, "failed": 0, "metrics": {
         "op_s_p50": {"value": op_s, "unit": "s"},
         "psnr_db": {"value": 33.0, "unit": "dB"}}}
     line = json.dumps(result) if last_line is None else last_line
+    samples = [{"i": i, "psnr_db": score} for i, score in enumerate(scores)]
+    # relative to the checkout, which is where perfbench runs
+    named = "workload w  seed 1  trace 0  records out" if records else "workload w"
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(textwrap.dedent(f"""\
-        import sys
+        import json, os, sys
         with open({str(log)!r}, "a") as fh:
             fh.write({root.name!r} + " " + " ".join(sys.argv[1:]) + "\\n")
-        print("workload report")
+        os.makedirs("out", exist_ok=True)
+        with open(os.path.join("out", "records.json"), "w") as fh:
+            json.dump({{"samples": {samples!r}}}, fh)
+        print({named!r})
         print({line!r})
         sys.exit({exit_code})
         """))
@@ -62,15 +70,36 @@ def test_pairs_alternate_share_seeds_and_summarize(tmp_path):
             "parent_median": 0.5, "change_median": 0.4, "parent_quartiles": [0.5, 0.5],
             "change_lower": "3 of 3"}
         assert result["summary"]["psnr_db"]["change_lower"] == "0 of 3"
+        assert result["pairs"][0]["psnr_db_items"] == {"timed_by_both": 3, "equal": True}
+        assert result["psnr_db_equal_per_item"] == "3 of 3 pairs"
 
 
-@pytest.mark.parametrize("last_line,exit_code", [
-    (None, 1), ("operations timed 5", 0), ('{"metrics": 3}', 0)],
-    ids=["exit-code", "no-json", "no-metrics"])
-def test_a_failed_run_exits_2_without_a_report(tmp_path, capsys, last_line, exit_code):
+@pytest.mark.parametrize("change_scores,timed,equal", [
+    ((33.0, 33.5), 2, True),  # fewer items timed, each scoring as on the parent
+    ((33.0, 33.6, 34.0, 35.0), 3, False),  # item 1 scores otherwise
+    ((), 0, False),  # nothing timed by both shows nothing equal
+])
+def test_psnr_db_is_compared_per_item_both_sides_timed(tmp_path, change_scores, timed, equal):
     log = tmp_path / "log.txt"
     parent = stub_checkout(tmp_path / "parent", log, 0.5)
-    change = stub_checkout(tmp_path / "change", log, 0.4, last_line, exit_code)
+    change = stub_checkout(tmp_path / "change", log, 0.4, scores=change_scores)
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(parent), str(change), "--workload", "fit-256",
+                             "--pairs", "2", "--out", str(out)]) == 0
+    result = json.loads(out.read_text())["workloads"]["fit-256"]
+    for pair in result["pairs"]:
+        assert pair["psnr_db_items"] == {"timed_by_both": timed, "equal": equal or timed == 0}
+    assert result["psnr_db_equal_per_item"] == f"{2 if equal else 0} of 2 pairs"
+
+
+@pytest.mark.parametrize("last_line,exit_code,records", [
+    (None, 1, True), ("operations timed 5", 0, True), ('{"metrics": 3}', 0, True),
+    (None, 0, False)],
+    ids=["exit-code", "no-json", "no-metrics", "no-records"])
+def test_a_failed_run_exits_2_without_a_report(tmp_path, capsys, last_line, exit_code, records):
+    log = tmp_path / "log.txt"
+    parent = stub_checkout(tmp_path / "parent", log, 0.5)
+    change = stub_checkout(tmp_path / "change", log, 0.4, last_line, exit_code, records=records)
     out = tmp_path / "pairs.json"
     assert bench_pairs.main([str(parent), str(change), "--workload", "fit-256",
                              "--pairs", "2", "--out", str(out)]) == 2

@@ -13,7 +13,7 @@ from nulut.lattice import Lattice, coordinates_from_logits, identity_lut, unifor
 from nulut.lutio import load_checkpoint, load_lattice, save_lattice
 from nulut.ppm import read_image, write_image
 from nulut.predictor import extract_features, init_params, predict_logits, predict_values
-from nulut.transform import CHUNK_PIXELS, row_blocks, transform_image, transform_vjp
+from nulut.transform import CHUNK_PIXELS, mse_vjp, row_blocks, transform_image
 from nulut.analysis import psnr
 from nulut.bench import run_bench
 from nulut.training import LossWeights, TrainConfig, train_predictor
@@ -267,10 +267,10 @@ class TestTrainingWorkers:
         workers_seen = []
 
         def spy(*args, **kwargs):
-            workers_seen.append(args[2])
-            return transform_vjp(*args, **kwargs)
+            workers_seen.append(args[3])
+            return mse_vjp(*args, **kwargs)
 
-        monkeypatch.setattr(training, "transform_vjp", spy)
+        monkeypatch.setattr(training, "mse_vjp", spy)
         outputs = []
         for cpus in (1, 3):
             monkeypatch.setattr(transform, "usable_cpus", lambda: cpus)

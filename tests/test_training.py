@@ -2,17 +2,20 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import random_lattice
+
 from nulut import training, transform
 from nulut.predictor import PARAM_ARRAYS, PredictorParams
 from nulut.ppm import read_image, read_ppm, write_image
 from nulut.lattice import identity_lut, uniform_coordinates
-from nulut.transform import CHUNK_PIXELS, POOL_THREAD_NAME, transform_vjp
+from nulut.transform import CHUNK_PIXELS, POOL_THREAD_NAME, mse_vjp, row_blocks, transform_vjp
 from nulut.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -67,6 +70,123 @@ class TestReconstructionLoss:
     def test_rejects_empty_images(self):
         with pytest.raises(ValueError, match=r"image must have shape \(3, h, w\), got \(3, 0, 4\)"):
             reconstruction_loss_grad(np.zeros((3, 0, 4)), np.zeros((3, 0, 4)))
+
+
+def channel_last(a):
+    """A copy of a (3, h, w) array in the (h, w, 3) memory layout."""
+    return np.ascontiguousarray(a.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def cli_pair(rng, tmp_path, shape):
+    """Integer samples, their floats and a target, written to P6 files and read
+    back as the CLI reads them: channel-last (h, w, 3) memory."""
+    paths = tmp_path / "input.ppm", tmp_path / "target.ppm"
+    write_image(rng.random((3, *shape)), paths[0])
+    write_image(rng.random((3, *shape)), paths[1])
+    samples, maxval = read_ppm(paths[0], raw=True)
+    assert maxval == 255
+    return samples, read_image(paths[0]), read_image(paths[1])
+
+
+class TestMseVjp:
+    """mse_vjp gives the bits of transform_vjp, reconstruction_loss_grad and the backward."""
+
+    @staticmethod
+    def composed(img, target, lattice, maxval):
+        """The composition training ran before mse_vjp: (loss, grad_values, grad_coords)."""
+        pred, backward = transform_vjp(img, lattice, maxval=maxval)
+        loss, g_pred = reconstruction_loss_grad(pred, target)
+        del pred
+        grads = backward(g_pred)
+        return loss, grads.grad_values, grads.grad_coords
+
+    @pytest.mark.parametrize("layouts", ["C/C", "CL/CL", "C/CL", "CL/C"])
+    @pytest.mark.parametrize("shape,blocks", [((64, 64), 1), ((200, 300), 4)])
+    @pytest.mark.parametrize("maxval", [None, 255])
+    def test_bits_equal_the_composition(self, rng, tmp_path, layouts, shape, blocks, maxval):
+        assert len(row_blocks(*shape)) == blocks
+        samples, floats, target = cli_pair(rng, tmp_path, shape)
+        img = floats if maxval is None else samples
+        assert img.strides[0] < img.strides[2] < img.strides[1]  # channel-last
+        img_layout, target_layout = layouts.split("/")
+        if img_layout == "C":
+            img = np.ascontiguousarray(img)
+        if target_layout == "C":
+            target = np.ascontiguousarray(target)
+        lattice = random_lattice(rng, 5)
+        loss, grad_values, grad_coords = self.composed(img, target, lattice, maxval)
+        for workers in (1, 2, 3):
+            got = mse_vjp(img, target, lattice, workers, maxval=maxval)
+            assert got[0] == loss, workers
+            assert got[1].tobytes() == grad_values.tobytes(), workers
+            assert got[2].tobytes() == grad_coords.tobytes(), workers
+
+    @pytest.mark.parametrize("layouts", ["CL/CL", "CL/C"])
+    def test_the_loss_sums_in_the_difference_layout(self, tmp_path, layouts):
+        """On this pair the two layouts sum the same squares to different bits,
+        so the squares' frame must take the layout of the difference: neither
+        the input's nor C order serves both cases."""
+        rng = np.random.default_rng(1)
+        samples, _, target = cli_pair(rng, tmp_path, (200, 300))
+        if layouts == "CL/C":
+            target = np.ascontiguousarray(target)
+        lattice = random_lattice(rng, 5)
+        # named, so NumPy cannot subtract in place into a temporary prediction
+        pred = transform.transform_image(samples, lattice, maxval=255)
+        d = pred - target
+        # channel-last when both are, C-ordered when they differ
+        assert d.flags.c_contiguous == (layouts == "CL/C")
+        other = np.ascontiguousarray(d) if layouts == "CL/CL" else channel_last(d)
+        loss = mse_vjp(samples, target, lattice, maxval=255)[0]
+        assert loss == float(np.mean(d * d))
+        assert loss != float(np.mean(other * other))
+
+    def test_rejects_a_target_of_another_shape(self, rng):
+        img = rng.random((3, 4, 5))
+        with pytest.raises(ValueError, match=r"target shape \(3, 4, 6\) does not match"):
+            mse_vjp(img, rng.random((3, 4, 6)), random_lattice(rng, 3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("maxval", [None, 255])
+    def test_rejects_a_non_finite_target(self, rng, bad, maxval):
+        img = rng.integers(0, 256, size=(3, 4, 5), dtype=np.uint8)
+        if maxval is None:
+            img = img / 255
+        target = rng.random((3, 4, 5))
+        target[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="target values must be finite"):
+            mse_vjp(img, target, random_lattice(rng, 3), maxval=maxval)
+
+    def test_holds_one_frame_where_the_composition_held_three(self, rng, tmp_path):
+        """Warm, one call traces one float64 frame, the squares, plus one block's
+        blend and the block gradients; the composition held the prediction,
+        the difference and its squares at once."""
+        size, n = 256, 17
+        samples, _, target = cli_pair(rng, tmp_path, (size, size))
+        lattice = random_lattice(rng, n)
+        frame = 3 * size * size * 8
+        blocks = row_blocks(size, size)
+        block_pixels = max(r1 - r0 for r0, r1 in blocks) * size
+        gradients = (3 * n**3 + 3 * n) * 8
+
+        def peak(call):
+            call()  # grows the workspace
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        fused = peak(lambda: mse_vjp(samples, target, lattice, maxval=255))
+        composed = peak(lambda: self.composed(samples, target, lattice, 255))
+        assert fused <= (
+            frame  # the squares
+            + 3 * block_pixels * 8  # one block's blend, which becomes its gradients
+            + (len(blocks) + 1) * gradients  # per-block gradients, and their sum
+            + n**3 * 8  # one bincount output
+        )
+        assert composed >= 3 * frame
 
 
 def brute_force_smoothness(table):
@@ -907,16 +1027,16 @@ class TestStepJobs:
         assert len(transform.row_blocks(*shape)) == blocks
         monkeypatch.setattr(transform, "usable_cpus", lambda: 2)
         monkeypatch.setattr(transform, "map_blocks", spied_map_blocks)
-        for function in (transform_vjp, smoothness_loss_grad, monotonicity_loss_grad):
+        for function in (mse_vjp, smoothness_loss_grad, monotonicity_loss_grad):
             spy(function)
         config = TrainConfig(learning_rate=1e-2, epochs=2, freeze_interval_epochs=0)
         fit_direct([ImagePair(img, img**0.6)], 5, config)
-        jobs = {"transform_vjp": 0, "smoothness_loss_grad": 1, "monotonicity_loss_grad": 2}
+        jobs = {"mse_vjp": 0, "smoothness_loss_grad": 1, "monotonicity_loss_grad": 2}
         assert sorted(name for name, *_ in seen) == sorted(list(jobs) * 2)
         for name, call, item, thread in seen:
             # each step function runs in its own job of a three-job list on 2 workers
             assert calls[call] == (3, 2) and item == jobs[name], name
-            if name == "transform_vjp":
+            if name == "mse_vjp":
                 assert thread == threading.get_ident()
         assert calls.count((3, 2)) == 2
 

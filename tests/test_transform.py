@@ -24,6 +24,7 @@ from nulut.transform import (
     POOL_THREAD_NAME,
     backward_pixel,
     map_blocks,
+    mse_vjp,
     lookup,
     lookup_with_count,
     row_blocks,
@@ -480,7 +481,7 @@ class TestBlockPool:
 
     @pytest.mark.parametrize("workers", [2.5, 2.0, 0, -1, True, None, "2"])
     @pytest.mark.parametrize("entry", ["transform_image", "transform_vjp",
-                                       "transform_with_grads"])
+                                       "transform_with_grads", "mse_vjp"])
     def test_bad_workers_rejected_before_the_pool_is_touched(self, fresh_pool, rng, entry,
                                                              workers):
         img = rng.random((3, 300, 200))
@@ -491,11 +492,12 @@ class TestBlockPool:
             "transform_image": lambda w: transform_image(img, lattice, w),
             "transform_vjp": lambda w: transform_vjp(img, lattice, w)[0],
             "transform_with_grads": lambda w: transform_with_grads(img, g, lattice, w)[0],
+            "mse_vjp": lambda w: mse_vjp(img, g, lattice, w)[1],
         }[entry]
         with pytest.raises(ValueError, match="^workers must be"):
             call(workers)
         assert transform._POOL._threads == 0
-        expected = transform_image(img, lattice)
+        expected = call(1)
         for good in (2, np.int64(2)):
             assert call(good).tobytes() == expected.tobytes()
         assert transform._POOL._threads == 1
@@ -544,6 +546,7 @@ class TestNoResultAliasesAWorkspace:
         float_out, float_backward = transform_vjp(img, lattice)
         float_grads = float_backward(rng.standard_normal(out.shape))
         pixel = backward_pixel(rng.random(3), lattice, rng.standard_normal(3))
+        mse = mse_vjp(samples, rng.random(samples.shape), lattice, maxval=255)
         return {
             "transform_image float": transform_image(img, lattice),
             "transform_image levels": transform_image(samples, lattice, maxval=255),
@@ -554,6 +557,8 @@ class TestNoResultAliasesAWorkspace:
                for k in ("grad_values", "grad_coords", "grad_input")},
             **{f"backward_pixel {k}": getattr(pixel, k)
                for k in ("grad_values", "grad_coords", "grad_input")},
+            "mse_vjp grad_values": mse[1],
+            "mse_vjp grad_coords": mse[2],
         }
 
     def test_second_call_leaves_first_results_unchanged(self):
@@ -671,6 +676,8 @@ def test_warm_float_transform_keeps_no_located_cells(rng):
     ("quantized apply", 128),
     ("float backward", 192),
     ("quantized backward", 216),
+    ("float mse_vjp", 192),
+    ("quantized mse_vjp", 216),
 ])
 def test_workspace_holds_the_documented_bytes_per_block_pixel(rng, call, bytes_per_pixel):
     """The workspace sizes the module docstring states, on a fresh thread."""
@@ -685,6 +692,8 @@ def test_workspace_holds_the_documented_bytes_per_block_pixel(rng, call, bytes_p
         "quantized apply": lambda: transform_image(samples, lattice, maxval=255),
         "float backward": lambda: transform_vjp(img, lattice)[1](g),
         "quantized backward": lambda: transform_vjp(samples, lattice, maxval=255)[1](g),
+        "float mse_vjp": lambda: mse_vjp(img, g, lattice),
+        "quantized mse_vjp": lambda: mse_vjp(samples, g, lattice, maxval=255),
     }[call]
     kept = []
 

@@ -10,14 +10,19 @@ workload W in the order given, pair i (seed i, from 1 to N) runs
 
 in each checkout, one after the other, with the same seed on both
 sides; the parent runs first in the first pair, the change in the
-second, and so on, so drift on the host falls on both sides alike.  Each run's last
-stdout line is read as perfbench's JSON result.  FILE gets the host
-(nproc, Python, NumPy), each side's commit (`git describe --always
---dirty` in its root, or null outside git) and, per workload, every
-pair's end-to-end metrics per side and per metric the medians, the
-parent's quartiles and how many pairs read lower on the change.  Exits
-2, writing no FILE, when a run exits non-zero or its last line is not a
-JSON result.
+second, and so on, so drift on the host falls on both sides alike.
+Each run's last stdout line is read as perfbench's JSON result, and the
+records.json in the directory its "records" line names gives each
+timed item's psnr_db.  FILE gets the host (nproc, Python, NumPy), each
+side's commit (`git describe --always --dirty` in its root, or null
+outside git) and, per workload, every pair's end-to-end metrics per
+side, how many items both sides timed and whether each of those items
+scored the same psnr_db on both, and per metric the medians, the
+parent's quartiles and how many pairs read lower on the change.  A
+workload's psnr_db metric is a median over however many items a run
+timed, so only the per-item comparison can show equal scores.  Exits
+2, writing no FILE, when a run exits non-zero, its last line is not a
+JSON result, or its records cannot be read.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ class RunFailed(RuntimeError):
 
 
 def run_side(root, workload, seed, seconds):
-    """The JSON result perfbench printed last in checkout root, or RunFailed."""
+    """The JSON result perfbench printed last in checkout root, and its items'
+    psnr_db (item_scores), or RunFailed."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(command, cwd=root, capture_output=True, text=True)
@@ -52,8 +58,29 @@ def run_side(root, workload, seed, seconds):
         metrics = {name: entry["value"] for name, entry in result["metrics"].items()}
     except (IndexError, ValueError, KeyError, TypeError, AttributeError):
         raise RunFailed(f"{where}: no JSON result line") from None
-    return {"metrics": metrics, "attempted": result.get("attempted"),
-            "failed": result.get("failed")}
+    return ({"metrics": metrics, "attempted": result.get("attempted"),
+             "failed": result.get("failed")}, item_scores(lines, root, where))
+
+
+def item_scores(lines, root, where):
+    """Item index -> psnr_db of the samples in the records perfbench's report names."""
+    marker = "  records "
+    named = [line.split(marker, 1)[1] for line in lines if marker in line]
+    if not named:
+        raise RunFailed(f"{where}: no records line")
+    try:
+        with open(os.path.join(root, named[-1], "records.json"), encoding="utf-8") as fh:
+            samples = json.load(fh)["samples"]
+        return {sample["i"]: sample["psnr_db"] for sample in samples}
+    except (OSError, ValueError, KeyError, TypeError) as err:
+        raise RunFailed(f"{where}: unreadable records: {err}") from None
+
+
+def compare_items(scores):
+    """How many items both sides timed, and whether each scored one psnr_db on both."""
+    both = scores["parent"].keys() & scores["change"].keys()
+    return {"timed_by_both": len(both),
+            "equal": all(scores["parent"][i] == scores["change"][i] for i in both)}
 
 
 def quartiles(values):
@@ -116,24 +143,29 @@ def main(argv=None) -> int:
         pairs = []
         for seed in range(1, args.pairs + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
-            pair = {"seed": seed, "first": order[0]}
+            pair, scores = {"seed": seed, "first": order[0]}, {}
             for side in order:
                 try:
-                    pair[side] = run_side(roots[side], workload, seed, args.seconds)
+                    pair[side], scores[side] = run_side(roots[side], workload, seed, args.seconds)
                 except RunFailed as err:
                     print(f"bench_pairs: {side} run failed: {err}", file=sys.stderr)
                     return 2
+            pair["psnr_db_items"] = compare_items(scores)
             pairs.append(pair)
             print(f"{workload} pair {seed}/{args.pairs}: " + "  ".join(
                 f"{side} op_s_p50 {pair[side]['metrics'].get('op_s_p50')}" for side in SIDES),
                 flush=True)
-        workloads[workload] = {"pairs": pairs, "summary": summarize(pairs)}
+        equal = sum(p["psnr_db_items"]["equal"] and p["psnr_db_items"]["timed_by_both"] > 0
+                    for p in pairs)
+        workloads[workload] = {"pairs": pairs, "summary": summarize(pairs),
+                               "psnr_db_equal_per_item": f"{equal} of {len(pairs)} pairs"}
     report = {"seconds": args.seconds, "host": host(),
               "commits": commits, "workloads": workloads}
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=1)
         fh.write("\n")
     for workload, result in workloads.items():
+        print(f"{workload} psnr_db equal per item in {result['psnr_db_equal_per_item']}")
         for name, entry in result["summary"].items():
             print(f"{workload} {name:14} parent {entry['parent_median']:.6g}  change "
                   f"{entry['change_median']:.6g}  change lower in {entry['change_lower']}")
