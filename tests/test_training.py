@@ -93,14 +93,15 @@ class TestMseVjp:
 
     @staticmethod
     def composed(img, target, lattice, maxval):
-        """The composition training ran before mse_vjp: (loss, grad_values, grad_coords)."""
+        """The reference: transform_vjp, reconstruction_loss_grad and the backward,
+        as (loss, grad_values, grad_coords)."""
         pred, backward = transform_vjp(img, lattice, maxval=maxval)
         loss, g_pred = reconstruction_loss_grad(pred, target)
         del pred
         grads = backward(g_pred)
         return loss, grads.grad_values, grads.grad_coords
 
-    @pytest.mark.parametrize("layouts", ["C/C", "CL/CL", "C/CL", "CL/C"])
+    @pytest.mark.parametrize("layouts", ["C/C", "CL/CL", "C/CL", "CL/C", "F/F", "F/CL"])
     @pytest.mark.parametrize("shape,blocks", [((64, 64), 1), ((200, 300), 4)])
     @pytest.mark.parametrize("maxval", [None, 255])
     def test_bits_equal_the_composition(self, rng, tmp_path, layouts, shape, blocks, maxval):
@@ -108,11 +109,11 @@ class TestMseVjp:
         samples, floats, target = cli_pair(rng, tmp_path, shape)
         img = floats if maxval is None else samples
         assert img.strides[0] < img.strides[2] < img.strides[1]  # channel-last
+        # CL is channel-last as read, C and F copies of it in C and Fortran order,
+        # in which a block's rows are not one run of memory
+        relayout = {"CL": lambda a: a, "C": np.ascontiguousarray, "F": np.asfortranarray}
         img_layout, target_layout = layouts.split("/")
-        if img_layout == "C":
-            img = np.ascontiguousarray(img)
-        if target_layout == "C":
-            target = np.ascontiguousarray(target)
+        img, target = relayout[img_layout](img), relayout[target_layout](target)
         lattice = random_lattice(rng, 5)
         loss, grad_values, grad_coords = self.composed(img, target, lattice, maxval)
         for workers in (1, 2, 3):
@@ -140,6 +141,22 @@ class TestMseVjp:
         loss = mse_vjp(samples, target, lattice, maxval=255)[0]
         assert loss == float(np.mean(d * d))
         assert loss != float(np.mean(other * other))
+
+    def test_more_workers_than_blocks_under_fast_switching_give_the_same_bits(self, rng):
+        img, target = rng.random((3, 640, 64)), rng.random((3, 640, 64))
+        assert len(row_blocks(640, 64)) == 10
+        lattice = random_lattice(rng, 5)
+        expected = mse_vjp(img, target, lattice)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [mse_vjp(img, target, lattice, 12) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        for loss, grad_values, grad_coords in got:
+            assert loss == expected[0]
+            assert grad_values.tobytes() == expected[1].tobytes()
+            assert grad_coords.tobytes() == expected[2].tobytes()
 
     def test_rejects_a_target_of_another_shape(self, rng):
         img = rng.random((3, 4, 5))
