@@ -87,7 +87,13 @@ def intervals_to_coordinates(intervals: np.ndarray) -> np.ndarray:
 
 
 def coordinates_from_logits(logits: np.ndarray) -> np.ndarray:
-    """Convenience composition: softmax then cumulative sum."""
+    """Convenience composition: softmax then cumulative sum.
+
+    For callers that need coordinates only.  Training builds its lattices
+    through training.lattice_from_logits, which also returns the
+    intervals the knot-logit backward reads; these two are the only
+    places in the package that compose the pair.
+    """
     return intervals_to_coordinates(softmax_normalize(logits))
 
 

@@ -331,6 +331,21 @@ def _check_loss(loss, initial, step):
         )
 
 
+def lattice_from_logits(logits, values):
+    """(Lattice, q) from interval logits and table values: the training path's one builder.
+
+    logits is a (3, k) matrix, one row per axis, or a (1, k) row that all
+    three axes share, spread by shared_to_full; softmax_normalize refuses
+    any other shape with a ValueError naming it.  q is the floored softmax
+    of the spread logits, the intervals coordinate_logit_vjp reads, and
+    the lattice's coordinates are their cumulative sums.  Both steps are
+    read from this module's globals when called, where perfbench's tracer
+    rebinds them.
+    """
+    q = softmax_normalize(shared_to_full(logits[0]) if np.shape(logits)[:-1] == (1,) else logits)
+    return Lattice(intervals_to_coordinates(q), values), q
+
+
 def _lattice_loss_and_grads(lattice: Lattice, q, pair: ImagePair, weights: LossWeights):
     """((loss, l_r, l_s, l_m), grad_values, grad_logits) of one pair.
 
@@ -422,16 +437,16 @@ def fit_direct(
     after the warmup and train at the decayed rate.  One Adam step is
     taken per pair, so with a single pair one epoch is one step.
 
+    Each step and the result build their lattice through
+    lattice_from_logits, from a (1, n_s - 1) logit row with shared=True
+    and a (3, n_s - 1) matrix otherwise.
+
     Returns the fitted Lattice and the per-step loss history as an array
     with columns HISTORY_COLUMNS.
     """
-    def build():
-        logits = params["logits"]
-        q = softmax_normalize(shared_to_full(logits[0]) if shared else logits)
-        return Lattice(intervals_to_coordinates(q), params["values"]), q
-
     def loss_and_grads(pair):
-        parts, g_table, g_logits = _lattice_loss_and_grads(*build(), pair, weights)
+        lattice, q = lattice_from_logits(params["logits"], params["values"])
+        parts, g_table, g_logits = _lattice_loss_and_grads(lattice, q, pair, weights)
         if shared:
             g_logits = g_logits.sum(axis=0, keepdims=True)
         return parts, {"values": g_table, "logits": g_logits}
@@ -443,14 +458,18 @@ def fit_direct(
     if not adaptive:
         config = replace(config, freeze_interval_epochs=config.epochs)
     history = _optimize(params, loss_and_grads, [[pair] for pair in pairs], config, ("logits",))
-    return build()[0], history
+    return lattice_from_logits(params["logits"], params["values"])[0], history
 
 
 def predictor_forward(features, params: PredictorParams):
-    """Lattice prediction keeping the intermediates needed for backward."""
-    q = softmax_normalize(predict_logits(features, params))
-    lattice = Lattice(intervals_to_coordinates(q), predict_values(features, params))
-    return lattice, q, predict_weights(features, params)
+    """(lattice, q, blend): the predicted lattice and what backward needs of it.
+
+    The heads' logits and table go through lattice_from_logits, the one
+    builder, which gives the lattice and its intervals q; blend is the
+    value head's basis weights.
+    """
+    logits, values = predict_logits(features, params), predict_values(features, params)
+    return (*lattice_from_logits(logits, values), predict_weights(features, params))
 
 
 def predictor_loss_and_grads(params: PredictorParams, pair: ImagePair, features,

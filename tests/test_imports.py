@@ -320,3 +320,62 @@ def test_checker_finds_buffered_takes():
         "line 5: np.take(a, idx, 0, out)",
         "line 6: a.take(idx, out=out, mode=mode)",
     ]
+
+
+# the one function in each module that may build coordinates from intervals
+COORDINATE_OWNERS = {"lattice.py": "coordinates_from_logits", "training.py": "lattice_from_logits"}
+
+
+def coordinate_builds_outside_owner(source, owner=None):
+    """Reads of intervals_to_coordinates outside the top-level function owner, as readable strings.
+
+    A read is a call or any other use of the name, bare or by attribute
+    (lattice.intervals_to_coordinates); imports and the definition itself
+    are not reads.  lattice.coordinates_from_logits and
+    training.lattice_from_logits are the package's two compositions of
+    the softmax and the cumulative sum, so a read anywhere else is a third.
+    """
+    tree = ast.parse(source)
+    inside = {id(node) for definition in tree.body
+              if isinstance(definition, ast.FunctionDef) and definition.name == owner
+              for node in ast.walk(definition)}
+    found = [node for node in ast.walk(tree)
+             if id(node) not in inside
+             and ((isinstance(node, ast.Name) and node.id == "intervals_to_coordinates")
+                  or (isinstance(node, ast.Attribute) and node.attr == "intervals_to_coordinates"))]
+    found.sort(key=lambda node: (node.lineno, node.col_offset))
+    return [f"line {node.lineno}: {ast.unparse(node)}" for node in found]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_the_owners_build_coordinates_from_intervals(path):
+    source = path.read_text(encoding="utf-8")
+    assert coordinate_builds_outside_owner(source, COORDINATE_OWNERS.get(path.name)) == []
+
+
+def test_checker_finds_coordinate_builds_outside_the_owner():
+    source = (
+        "from .lattice import intervals_to_coordinates, softmax_normalize\n"
+        "from . import lattice\n"
+        "def lattice_from_logits(logits):\n"
+        "    return intervals_to_coordinates(softmax_normalize(logits))\n"
+        "def build(q):\n"
+        "    coords = lattice.intervals_to_coordinates(q)\n"
+        "    return intervals_to_coordinates(q), coords\n"
+        "class Builder:\n"
+        "    def lattice_from_logits(self, q):\n"
+        "        return intervals_to_coordinates(q)\n"
+        "STEP = intervals_to_coordinates\n"
+        "def intervals_to_coordinates_twice(q):\n"
+        "    return q\n"
+    )
+    assert coordinate_builds_outside_owner(source, "lattice_from_logits") == [
+        "line 6: lattice.intervals_to_coordinates",
+        "line 7: intervals_to_coordinates",
+        "line 10: intervals_to_coordinates",
+        "line 11: intervals_to_coordinates",
+    ]
+    assert coordinate_builds_outside_owner(source)[:2] == [
+        "line 4: intervals_to_coordinates",
+        "line 6: lattice.intervals_to_coordinates",
+    ]
